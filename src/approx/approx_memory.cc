@@ -1,5 +1,6 @@
 #include "approx/approx_memory.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -51,11 +52,8 @@ void ApproxMemory::BeginJobStream(uint64_t stream_key) {
 ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
                                            double model_word_error_rate) {
   const uint64_t span = ((n * 4 + 4095) / 4096 + 1) * 4096;
-  const auto make_array = [&](uint64_t base) {
-    return ApproxArrayU32(n, model, rng_.Split(), options_.trace, base,
-                          options_.sequential_write_discount,
-                          options_.fault_hook);
-  };
+  // Next candidate region: the placement policy's pick, or the bump
+  // pointer (which then already points just past the candidate).
   const auto place = [&]() {
     if (options_.placement != nullptr) {
       return options_.placement->PlaceSpan(span);
@@ -64,70 +62,50 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
     next_base_address_ += span;
     return base;
   };
+  const auto make_array = [&](uint64_t base) {
+    return ApproxArrayU32(n, model, rng_.Split(), options_.trace, base,
+                          options_.sequential_write_discount,
+                          options_.fault_hook);
+  };
   if (!health_.enabled()) {
     return make_array(place());
   }
-  if (options_.placement != nullptr) {
-    // Placement-policy path: the policy owns every cursor, so a quarantined
-    // candidate is reported to it (OnQuarantine) and the retry simply asks
-    // for a fresh placement — the policy routes it to another bank/region.
-    const uint32_t words = health_.options().canary_words;
-    for (int attempt = 0;; ++attempt) {
-      const uint64_t base = options_.placement->PlaceSpan(span);
-      health_.RecordRegionProbed();
-      const uint64_t tail_base = base + span - uint64_t{words} * 4u;
-      ApproxArrayU32 head(words, model, rng_.Split(), /*trace=*/nullptr, base,
-                          options_.sequential_write_discount,
-                          options_.fault_hook);
-      ApproxArrayU32 tail(words, model, rng_.Split(), /*trace=*/nullptr,
-                          tail_base, options_.sequential_write_discount,
-                          options_.fault_hook);
-      const uint64_t errors =
-          health_.ProbeSite(head) + health_.ProbeSite(tail);
-      const double observed =
-          words > 0 ? static_cast<double>(errors) / (2.0 * words) : 0.0;
-      if (health_.WithinThreshold(observed, model_word_error_rate) ||
-          attempt >= health_.options().max_alloc_retries) {
-        return make_array(base);
-      }
-      health_.RecordQuarantine(base, span);
-      health_.RecordRetry();
-      options_.placement->OnQuarantine(base, span);
-    }
-  }
-  // Canary-probe candidate regions; skip quarantined ones with a stride
-  // that doubles per consecutive failure so large degraded regions are
-  // escaped in O(log size) probes.
-  const uint32_t words = health_.options().canary_words;
+  // Canary-probe candidate regions until one passes (or the retry budget
+  // runs out). Sentinels interleave with the allocation: kCanaryWords
+  // canary words at the region head (sharing the data array's first
+  // addresses) and at the tail of the region's last page. Probe costs land
+  // in the monitor's own ledger, never in the workload's.
+  constexpr uint64_t kTailOffset = uint64_t{kCanaryWords} * 4u;
   for (int attempt = 0;; ++attempt) {
-    const uint64_t base = next_base_address_;
+    const uint64_t base = place();
     health_.RecordRegionProbed();
-    // Sentinels interleave with the allocation: `words` canary words at the
-    // region head (sharing the data array's first addresses) and at the
-    // tail of the region's last page. Probe costs land in the monitor's own
-    // ledger, never in the workload's.
-    const uint64_t tail_base = base + span - uint64_t{words} * 4u;
-    ApproxArrayU32 head(words, model, rng_.Split(), /*trace=*/nullptr, base,
-                        options_.sequential_write_discount,
+    ApproxArrayU32 head(kCanaryWords, model, rng_.Split(), /*trace=*/nullptr,
+                        base, options_.sequential_write_discount,
                         options_.fault_hook);
-    ApproxArrayU32 tail(words, model, rng_.Split(), /*trace=*/nullptr,
-                        tail_base, options_.sequential_write_discount,
+    ApproxArrayU32 tail(kCanaryWords, model, rng_.Split(), /*trace=*/nullptr,
+                        base + span - kTailOffset,
+                        options_.sequential_write_discount,
                         options_.fault_hook);
     const uint64_t errors =
         health_.ProbeSite(head) + health_.ProbeSite(tail);
     const double observed =
-        words > 0 ? static_cast<double>(errors) / (2.0 * words) : 0.0;
+        static_cast<double>(errors) / (2.0 * kCanaryWords);
     if (health_.WithinThreshold(observed, model_word_error_rate) ||
-        attempt >= health_.options().max_alloc_retries) {
-      next_base_address_ = base + span;
+        attempt >= kMaxAllocRetries) {
       return make_array(base);
     }
     health_.RecordQuarantine(base, span);
     health_.RecordRetry();
-    // Back off past the quarantined region, doubling the stride while
-    // consecutive candidates keep failing (capped to avoid overflow).
-    const int shift = attempt < 20 ? attempt : 20;
-    next_base_address_ = base + (span << shift);
+    if (options_.placement != nullptr) {
+      // The policy owns every cursor: report the quarantine and let the
+      // next PlaceSpan route around it.
+      options_.placement->OnQuarantine(base, span);
+    } else {
+      // Back off past the quarantined region, doubling the stride while
+      // consecutive candidates keep failing (capped to avoid overflow), so
+      // large degraded regions are escaped in O(log size) probes.
+      next_base_address_ = base + (span << std::min(attempt, 20));
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 // the region's own write model — and any attached fault hook — then read
 // back. The mismatch rate is an online estimate of the region's *observed*
 // raw word-error rate. When it exceeds the calibrated model rate by a
-// configurable factor, the region is quarantined: recorded as degraded,
+// fixed factor, the region is quarantined: recorded as degraded,
 // excluded from all future allocations (the allocator never revisits it),
 // and the allocation is retried further along the address space with an
 // exponentially growing stride so even large bad regions are escaped in
@@ -39,20 +39,21 @@ namespace approxmem::approx {
 /// paper's setup.
 struct HealthOptions {
   bool enabled = false;
-  /// Canary words written and read back per probe site; every allocation
-  /// probes two sites (head and tail of the candidate region).
-  uint32_t canary_words = 8;
-  /// Quarantine when the observed word-error rate exceeds
-  /// quarantine_factor * max(model word-error rate, error_floor).
-  double quarantine_factor = 8.0;
-  /// Absolute rate floor so near-zero model rates (precise memory, tight
-  /// T) do not quarantine a region over one unlucky canary.
-  double error_floor = 0.02;
-  /// Candidate regions tried before giving up and accepting the last one
-  /// (an allocation must always succeed; a persistently unhealthy address
-  /// space degrades to model-blind operation rather than failing).
-  int max_alloc_retries = 16;
 };
+
+/// Canary words written and read back per probe site; every allocation
+/// probes two sites (head and tail of the candidate region).
+inline constexpr uint32_t kCanaryWords = 8;
+/// Quarantine when the observed word-error rate exceeds
+/// kQuarantineFactor * max(model word-error rate, kErrorFloor).
+inline constexpr double kQuarantineFactor = 8.0;
+/// Absolute rate floor so near-zero model rates (precise memory, tight T)
+/// do not quarantine a region over one unlucky canary.
+inline constexpr double kErrorFloor = 0.02;
+/// Candidate regions tried before giving up and accepting the last one (an
+/// allocation must always succeed; a persistently unhealthy address space
+/// degrades to model-blind operation rather than failing).
+inline constexpr int kMaxAllocRetries = 16;
 
 /// Monitoring counters plus the probe-traffic cost ledger.
 struct HealthStats {
@@ -72,7 +73,6 @@ class HealthMonitor {
   explicit HealthMonitor(const HealthOptions& options) : options_(options) {}
 
   bool enabled() const { return options_.enabled; }
-  const HealthOptions& options() const { return options_; }
   const HealthStats& stats() const { return stats_; }
 
   /// Writes deterministic canary patterns into every slot of `canaries`
@@ -85,8 +85,8 @@ class HealthMonitor {
   /// region whose calibrated model word-error rate is `model_rate`.
   bool WithinThreshold(double observed_rate, double model_rate) const {
     const double reference =
-        model_rate > options_.error_floor ? model_rate : options_.error_floor;
-    return observed_rate <= options_.quarantine_factor * reference;
+        model_rate > kErrorFloor ? model_rate : kErrorFloor;
+    return observed_rate <= kQuarantineFactor * reference;
   }
 
   /// Records [base, base + span) as degraded and excluded from allocation.

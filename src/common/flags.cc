@@ -1,9 +1,24 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 namespace approxmem {
+namespace {
+
+/// Exits with status 2 unless strtoll/strtod consumed all of `value`
+/// without overflowing.
+void RequireFullParse(const std::string& name, const std::string& value,
+                      const char* end, const char* expected) {
+  if (!value.empty() && *end == '\0' && errno != ERANGE) return;
+  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+               name.c_str(), value.c_str(), expected);
+  std::exit(2);
+}
+
+}  // namespace
 
 StatusOr<Flags> Flags::Parse(int argc, char** argv) {
   Flags flags;
@@ -39,13 +54,21 @@ bool Flags::Has(const std::string& name) const {
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(it->second.c_str(), &end, 10);
+  RequireFullParse(name, it->second, end, "an integer");
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(it->second.c_str(), &end);
+  RequireFullParse(name, it->second, end, "a number");
+  return value;
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {

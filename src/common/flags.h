@@ -22,7 +22,10 @@ class Flags {
   static StatusOr<Flags> Parse(int argc, char** argv);
 
   bool Has(const std::string& name) const;
-  /// Typed getters return `def` when the flag is absent.
+  /// Typed getters return `def` when the flag is absent. A numeric value
+  /// that does not parse completely ("2e3" or "abc" for an integer, "0.5x"
+  /// for a number) prints an error naming the flag and exits with status 2,
+  /// like a malformed command line.
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;

@@ -38,7 +38,7 @@ core::JobOutcome ExtsortJobPlan::Execute(const core::JobContext& context) {
       (context.ticket + 1) * 0x9e3779b97f4a7c15ULL;
 
   ExternalSortOptions sort_options;
-  sort_options.memory_budget_bytes = options_.lease_bytes;
+  sort_options.memory_budget_bytes = kExtsortLeaseBytes;
   sort_options.algorithm = job_.algorithm;
   sort_options.t = context.knob;
   // A precise backend advertises knob 0: its approx stage would be the
@@ -47,7 +47,6 @@ core::JobOutcome ExtsortJobPlan::Execute(const core::JobContext& context) {
   sort_options.use_approx_refine = context.knob > 0.0;
   sort_options.record_payloads = true;
   sort_options.stream_salt = stream_salt;
-  sort_options.verify = options_.verify;
 
   AsyncDevice device(options_.device, nullptr);
   const int input = StageInput(device, keys);
@@ -87,29 +86,25 @@ core::JobOutcome ExtsortJobPlan::Execute(const core::JobContext& context) {
   outcome.keys_digest = VectorDigest(out_keys);
   outcome.ids_digest = VectorDigest(out_ids);
 
-  if (options_.baseline) {
-    // Equation 2's denominator: the identical pipeline with precise
-    // in-memory sorts, on a throwaway device so its traffic never leaks
-    // into the approx configuration's ledger.
-    ExternalSortOptions baseline_options = sort_options;
-    baseline_options.use_approx_refine = false;
-    baseline_options.verify = false;
-    AsyncDevice baseline_device(options_.device, nullptr);
-    const int baseline_input =
-        StageInput(baseline_device, core::MakeKeys(job_.workload, job_.n,
-                                                   job_.seed));
-    const StatusOr<ExternalSortReport> baseline = ExternalSort(
-        engine, baseline_device, baseline_input, baseline_options, nullptr);
-    if (!baseline.ok()) {
-      outcome.status = baseline.status();
-      outcome.verified = false;
-      return outcome;
-    }
-    outcome.baseline_write_cost = baseline->memory_write_cost;
-    if (outcome.baseline_write_cost > 0.0) {
-      outcome.write_reduction =
-          1.0 - outcome.cost.write_cost / outcome.baseline_write_cost;
-    }
+  // Equation 2's denominator: the identical pipeline with precise
+  // in-memory sorts, on a throwaway device so its traffic never leaks
+  // into the approx configuration's ledger.
+  ExternalSortOptions baseline_options = sort_options;
+  baseline_options.use_approx_refine = false;
+  baseline_options.verify = false;
+  AsyncDevice baseline_device(options_.device, nullptr);
+  const int baseline_input = StageInput(baseline_device, keys);
+  const StatusOr<ExternalSortReport> baseline = ExternalSort(
+      engine, baseline_device, baseline_input, baseline_options, nullptr);
+  if (!baseline.ok()) {
+    outcome.status = baseline.status();
+    outcome.verified = false;
+    return outcome;
+  }
+  outcome.baseline_write_cost = baseline->memory_write_cost;
+  if (outcome.baseline_write_cost > 0.0) {
+    outcome.write_reduction =
+        1.0 - outcome.cost.write_cost / outcome.baseline_write_cost;
   }
   return outcome;
 }

@@ -9,9 +9,9 @@
 //     so a pool would add nothing but nondeterministic interleaving),
 //   * stages the generated input keys and resets the virtual clock,
 //   * runs the approx-refine external sort under a working-memory budget
-//     of lease_bytes with record payloads on (spills are <key, rowid>
-//     pairs, the output a permutation certificate), every run's RNG
-//     rebased onto a ticket-keyed stream salt,
+//     of kExtsortLeaseBytes with record payloads on (spills are
+//     <key, rowid> pairs, the output a permutation certificate), every
+//     run's RNG rebased onto a ticket-keyed stream salt,
 //   * runs the precise-configuration external sort on a second throwaway
 //     device for Equation 2's denominator — the same per-job baseline the
 //     in-memory plans pay,
@@ -19,9 +19,10 @@
 //     job's deterministic virtual service time.
 //
 // The plan itself takes no MemoryBudget lease; the scheduler reserves
-// lease_bytes from the tenant budget at admission (deterministically, on
-// the driver thread) and the plan's internal ExternalSort budget equals
-// the lease, so the modeled working set never exceeds what was granted.
+// kExtsortLeaseBytes from the tenant budget at admission
+// (deterministically, on the driver thread) and the plan's internal
+// ExternalSort budget equals the lease, so the modeled working set never
+// exceeds what was granted.
 #ifndef APPROXMEM_EXTSORT_EXTSORT_PLAN_H_
 #define APPROXMEM_EXTSORT_EXTSORT_PLAN_H_
 
@@ -34,20 +35,18 @@
 
 namespace approxmem::extsort {
 
+/// Modeled working memory one job's external sort runs under — the lease
+/// the scheduler reserves from the tenant budget for the job's whole
+/// execution.
+inline constexpr size_t kExtsortLeaseBytes = 512u << 10;
+static_assert(kExtsortLeaseBytes >= 2 * kRecordRunFootprintBytesPerElement,
+              "the extsort lease must hold the working set of a 2-element "
+              "run");
+
 /// Per-tenant out-of-core execution settings.
 struct ExtsortPlanOptions {
-  /// Modeled working memory one job's external sort runs under — the
-  /// lease the scheduler reserves from the tenant budget for the job's
-  /// whole execution.
-  size_t lease_bytes = 512u << 10;
   /// Geometry and timing of the job's modeled block device.
   AsyncDeviceConfig device;
-  /// Skip the precise-configuration baseline run (Equation 2 then reports
-  /// 0 reduction). The service keeps it on; sweeps that only gate on
-  /// digests can turn it off.
-  bool baseline = true;
-  /// Skip the output permutation-certificate check (digest gates only).
-  bool verify = true;
 };
 
 class ExtsortJobPlan : public core::JobPlan {

@@ -87,7 +87,8 @@ struct SortService::Shard {
   /// Tickets assigned for the current batch, in execution order.
   std::vector<uint64_t> run_list;
   /// Set when a job in the shard's previous batch climbed the resilience
-  /// ladder or finished unverified; halves the shard's next admissions.
+  /// ladder or finished unverified; caps the shard's next admissions at
+  /// kCooldownAdmit.
   bool cooling = false;
 };
 
@@ -106,20 +107,17 @@ SortService::SortService(const ServiceOptions& options)
   for (int s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
-    if (options_.wear_leveling) {
-      if (options_.endurance.enabled) {
-        // Endurance needs the placement charges as its wear feed, so it
-        // only exists under wear leveling; geometry comes from the
-        // placement policy so ledger banks and placement lanes agree.
-        approx::EnduranceOptions endurance = options_.endurance;
-        endurance.banks = options_.wear.banks;
-        endurance.bank_lane_bytes = WearPlacement::kBankLaneBytes;
-        shard->endurance =
-            std::make_unique<approx::EnduranceLedger>(endurance);
-      }
-      shard->wear = std::make_unique<WearPlacement>(
-          options_.wear, shard->endurance.get());
+    if (options_.endurance.enabled) {
+      // Endurance takes the placement charges as its wear feed; geometry
+      // comes from the placement policy so ledger banks and placement
+      // lanes agree.
+      approx::EnduranceOptions endurance = options_.endurance;
+      endurance.banks = options_.wear.banks;
+      endurance.bank_lane_bytes = WearPlacement::kBankLaneBytes;
+      shard->endurance = std::make_unique<approx::EnduranceLedger>(endurance);
     }
+    shard->wear = std::make_unique<WearPlacement>(options_.wear,
+                                                  shard->endurance.get());
     if (options_.fault_hook_factory) {
       shard->fault_hook = options_.fault_hook_factory(s);
     }
@@ -159,17 +157,10 @@ Status SortService::RegisterTenant(const TenantSpec& tenant) {
         (*backend)->Validate(approx::AllocSpec::Approx(tenant.knob, 1));
     if (!valid.ok()) return valid;
   }
-  // Out-of-core settings must be runnable: a lease too small for a 2-run
-  // sort, or larger than the tenant budget, would make every kExtSort job
-  // fail (or never admit) — registration errors, not batch surprises.
-  if (tenant.extsort.lease_bytes <
-      2 * extsort::kRecordRunFootprintBytesPerElement) {
-    return Status::InvalidArgument(
-        "extsort lease below the working set of a 2-element run for "
-        "tenant " +
-        tenant.name);
-  }
-  if (tenant.extsort.lease_bytes > tenant.extsort_budget_bytes) {
+  // Out-of-core settings must be runnable: a lease larger than the tenant
+  // budget would make every kExtSort job never admit — a registration
+  // error, not a batch surprise.
+  if (extsort::kExtsortLeaseBytes > tenant.extsort_budget_bytes) {
     return Status::InvalidArgument(
         "extsort lease exceeds the tenant extsort budget for tenant " +
         tenant.name);
@@ -283,7 +274,7 @@ size_t SortService::RunBatch() {
       }
     }
     if (shards_[s]->cooling) {
-      quota[s] = std::min(options_.admission.cooldown_admit, capacity_quota);
+      quota[s] = std::min(kCooldownAdmit, capacity_quota);
       ++stats_.cooldown_batches;
     } else {
       quota[s] = capacity_quota;
@@ -333,11 +324,10 @@ size_t SortService::RunBatch() {
     bool lease_ok = true;
     if (best >= 0 &&
         record.request.job_class == core::JobClass::kExtSort) {
-      const size_t lease_bytes = tenant.spec.extsort.lease_bytes;
-      if (tenant.extsort_budget->CanReserve(lease_bytes)) {
+      if (tenant.extsort_budget->CanReserve(extsort::kExtsortLeaseBytes)) {
         extsort_leases_.emplace(
-            ticket,
-            BudgetReservation(tenant.extsort_budget.get(), lease_bytes));
+            ticket, BudgetReservation(tenant.extsort_budget.get(),
+                                      extsort::kExtsortLeaseBytes));
       } else {
         lease_ok = false;
       }
@@ -467,7 +457,7 @@ core::ApproxSortEngine& SortService::EngineFor(Shard& shard,
   engine_options.seed = MixSeed(options_.seed, shard.index, tenant);
   engine_options.calibration_trials = options_.calibration_trials;
   engine_options.shared_calibration = calibration_;
-  engine_options.health.enabled = options_.health_monitor;
+  engine_options.health.enabled = true;
   engine_options.placement = shard.wear.get();
   engine_options.fault_hook = shard.wear_hook
                                   ? shard.wear_hook.get()
@@ -511,7 +501,7 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
   }
   core::ApproxSortEngine& engine = EngineFor(shard, tenant);
   approx::ApproxMemory& memory = engine.memory();
-  if (shard.wear) shard.wear->BeginJob();
+  shard.wear->BeginJob();
   if (shard.wear_hook) shard.wear_hook->BeginJob(ticket);
   double knob = std::isnan(tenant.knob)
                     ? memory.backend().default_approx_knob()
@@ -523,7 +513,7 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
     const int level = shard.endurance->MaxLiveEscalationLevel();
     if (level > 0) {
       knob = std::max(memory.backend().min_knob(),
-                      knob * std::pow(options_.aging_knob_factor, level));
+                      knob * std::pow(kAgingKnobFactor, level));
     }
   }
   record.effective_knob = knob;
@@ -559,7 +549,7 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
   record.state = outcome.status.ok() && outcome.verified
                      ? JobState::kCompleted
                      : JobState::kFailed;
-  if (shard.wear) shard.wear->ChargeJobCost(record.cost.pv_iterations);
+  shard.wear->ChargeJobCost(record.cost.pv_iterations);
   record.latency_seconds = NowSeconds() - submit_time_[ticket];
 }
 
@@ -610,10 +600,10 @@ double SortService::tenant_epoch_cost(const std::string& tenant,
   return cost != it->second.epoch_write_cost.end() ? cost->second : 0.0;
 }
 
-const WearPlacement* SortService::shard_wear(int shard) const {
+const WearPlacement& SortService::shard_wear(int shard) const {
   APPROXMEM_CHECK(shard >= 0 &&
                   shard < static_cast<int>(shards_.size()));
-  return shards_[static_cast<size_t>(shard)]->wear.get();
+  return *shards_[static_cast<size_t>(shard)]->wear;
 }
 
 const approx::EnduranceLedger* SortService::shard_endurance(

@@ -49,7 +49,7 @@
 // Admission control. The backlog is bounded (queue_capacity): submissions
 // beyond it are shed immediately with an honest Unavailable status.
 // Each batch, a shard admits at most shard_batch_quota jobs — or
-// cooldown_admit jobs while it is cooling down because its previous job
+// kCooldownAdmit jobs while it is cooling down because its previous job
 // climbed the PR-3 resilience ladder (retry/escalation/fallback) or
 // finished unverified. Jobs that find no shard quota are deferred to the
 // next batch; after max_deferrals deferrals they are shed, again with an
@@ -60,6 +60,8 @@
 // every tenant engine through one WearPlacement policy, rotating hot
 // allocations across PCM bank lanes by accumulated P&V wear and steering
 // around regions the health monitor quarantined (see wear_placement.h).
+// Every shard engine runs the online health monitor (canary probes and
+// quarantine): a service must notice a degrading substrate.
 //
 // Endurance and graceful degradation. With ServiceOptions::endurance
 // enabled, every shard substrate carries an approx::EnduranceLedger fed by
@@ -120,13 +122,13 @@ struct TenantSpec {
   bool resilient = true;
   core::ResilienceOptions resilience;
   /// Out-of-core execution settings for the tenant's kExtSort jobs: the
-  /// per-job working-memory lease and the modeled device.
+  /// modeled device.
   extsort::ExtsortPlanOptions extsort;
   /// Capacity of the tenant's extsort working-memory budget (modeled
-  /// bytes). Each kExtSort job reserves extsort.lease_bytes from it at
-  /// admission and releases on completion, so the capacity bounds the
-  /// tenant's concurrent out-of-core working set; jobs whose lease does
-  /// not fit are deferred until one frees.
+  /// bytes). Each kExtSort job reserves extsort::kExtsortLeaseBytes from
+  /// it at admission and releases on completion, so the capacity bounds
+  /// the tenant's concurrent out-of-core working set; jobs whose lease
+  /// does not fit are deferred until one frees.
   size_t extsort_budget_bytes = 1u << 20;
   /// Eq. 2 write-cost quota (simulated ns) the tenant may charge per wear
   /// epoch; 0 = unlimited. At or over quota, the tenant's queued jobs are
@@ -227,10 +229,6 @@ struct AdmissionOptions {
   size_t queue_capacity = 64;
   /// Jobs one shard may admit per batch.
   int shard_batch_quota = 4;
-  /// Admission quota of a shard that is cooling down after its previous
-  /// job climbed the resilience ladder or finished unverified. 0 defers
-  /// everything away from the shard for one batch.
-  int cooldown_admit = 1;
   /// Deferrals a job survives before admission control sheds it.
   int max_deferrals = 3;
 };
@@ -243,22 +241,14 @@ struct ServiceOptions {
   uint64_t seed = 42;
   uint64_t calibration_trials = 20000;
   AdmissionOptions admission;
-  /// Online health monitoring (canary probes + quarantine) on every shard
-  /// engine. On by default: a service must notice a degrading substrate.
-  bool health_monitor = true;
   /// Wear-aware bank rotation on every shard substrate.
-  bool wear_leveling = true;
   WearLevelOptions wear;
   /// Device-lifetime modeling: per-bank P&V budgets, wear-dependent error
-  /// escalation, and bank retirement (approx/endurance.h). Requires
-  /// wear_leveling (the ledger is fed by placement's job charges); the
-  /// banks/lane geometry is taken from `wear`, so leave
-  /// endurance.banks/bank_lane_bytes at their defaults.
+  /// escalation, and bank retirement (approx/endurance.h). The ledger is
+  /// fed by placement's job charges, and the banks/lane geometry is taken
+  /// from `wear`, so leave endurance.banks/bank_lane_bytes at their
+  /// defaults.
   approx::EnduranceOptions endurance;
-  /// Knob multiplier applied per escalation level of the most-aged live
-  /// bank on a job's shard — graceful degradation toward precise for
-  /// tenants placed on aged substrate. Floored at the backend's min_knob.
-  double aging_knob_factor = 0.5;
   /// Optional shared calibration cache (thread-safe); when null the
   /// service builds one, shared by all shard engines, so each T still
   /// calibrates exactly once per process.
@@ -296,6 +286,14 @@ struct ServiceStats {
 
 class SortService {
  public:
+  /// Admission quota of a shard that is cooling down after its previous
+  /// job climbed the resilience ladder or finished unverified.
+  static constexpr int kCooldownAdmit = 1;
+  /// Knob multiplier applied per escalation level of the most-aged live
+  /// bank on a job's shard — graceful degradation toward precise for
+  /// tenants placed on aged substrate. Floored at the backend's min_knob.
+  static constexpr double kAgingKnobFactor = 0.5;
+
   explicit SortService(const ServiceOptions& options);
   ~SortService();
 
@@ -332,8 +330,8 @@ class SortService {
   const ServiceStats& stats() const { return stats_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// Shard s's wear ledger (null when wear_leveling is off).
-  const WearPlacement* shard_wear(int shard) const;
+  /// Shard s's wear ledger.
+  const WearPlacement& shard_wear(int shard) const;
   /// Aggregated health-monitor counters across shard `shard`'s engines.
   approx::HealthStats shard_health(int shard) const;
   /// Shard s's endurance ledger (null when endurance is off).

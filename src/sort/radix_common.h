@@ -31,6 +31,10 @@ struct RadixPlan {
   int TopShift() const { return bits * (passes - 1); }
 };
 
+/// MSD sorts (queue-bucket and histogram): buckets at or below this size
+/// finish with insertion sort.
+inline constexpr size_t kMsdInsertionCutoff = 32;
+
 /// Fixed decomposition of [0, n) into contiguous stripes for the parallel
 /// radix passes. The stripe count is a function of n alone — never of the
 /// thread count — so per-stripe RNG substreams, digit histograms, and

@@ -249,7 +249,7 @@ Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
     const Buffers src = seg.in_primary ? primary : scratch;
     const Buffers dst = seg.in_primary ? scratch : primary;
 
-    if (len < 2 || len <= options.insertion_cutoff || seg.shift < 0) {
+    if (len < 2 || len <= kMsdInsertionCutoff || seg.shift < 0) {
       // Leaf: make sure the data is back in the primary buffer, then finish
       // with insertion sort (through the instrumented primary arrays).
       if (!seg.in_primary) CopyRange(src, primary, seg.lo, seg.hi);

@@ -23,8 +23,6 @@ namespace approxmem::sort {
 
 struct HistogramRadixOptions {
   int bits = 6;
-  /// MSD only: buckets at or below this size finish with insertion sort.
-  size_t insertion_cutoff = 32;
   /// LSD only: worker pool for the striped counting/scatter passes (null
   /// means serial). Results never depend on the thread count.
   ThreadPool* pool = nullptr;

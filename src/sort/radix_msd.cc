@@ -34,7 +34,6 @@ Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
   approx::ApproxArrayU32* id_arena =
       spec.ids != nullptr ? &id_arena_storage : nullptr;
 
-  const size_t cutoff = options.insertion_cutoff;
   std::vector<Segment> stack;
   stack.push_back(Segment{0, n, plan.TopShift()});
 
@@ -43,7 +42,7 @@ Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
     stack.pop_back();
     const size_t len = seg.hi - seg.lo;
     if (len < 2) continue;
-    if (len <= cutoff || seg.shift < 0) {
+    if (len <= kMsdInsertionCutoff || seg.shift < 0) {
       InsertionSortRange(spec, seg.lo, seg.hi - 1);
       continue;
     }

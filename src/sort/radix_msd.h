@@ -10,8 +10,6 @@ namespace approxmem::sort {
 struct MsdRadixOptions {
   /// Digit width in bits; the paper evaluates 3, 4, 5, and 6.
   int bits = 6;
-  /// Buckets at or below this size finish with insertion sort.
-  size_t insertion_cutoff = 32;
 };
 
 /// Sorts spec.keys (and spec.ids) ascending by key. Recursively partitions

@@ -86,7 +86,7 @@ void SwapElements(SortSpec& spec, size_t i, size_t j) {
 Status RunSort(SortSpec& spec, const AlgorithmId& algorithm, Rng& rng) {
   switch (algorithm.kind) {
     case SortKind::kQuicksort:
-      return Quicksort(spec, QuicksortOptions{}, rng);
+      return Quicksort(spec, rng);
     case SortKind::kMergesort:
       return Mergesort(spec, MergesortOptions{});
     case SortKind::kLsdRadix: {

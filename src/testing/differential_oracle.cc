@@ -148,8 +148,7 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
     }
   }
 
-  if (oracle_case.paper_t == 0 && options.check_bit_identical_at_t0 &&
-      options.injector == nullptr) {
+  if (oracle_case.paper_t == 0 && options.injector == nullptr) {
     std::vector<uint32_t> approx_output;
     const auto only = engine.SortApproxOnly(input, oracle_case.algorithm, t,
                                             &approx_output);

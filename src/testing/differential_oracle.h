@@ -11,9 +11,10 @@
 //   keys-match-ids           finalKey[i] == input[finalID[i]];
 //   precise-cost-accounting  every precise-domain ledger costs exactly
 //                            (writes x 1 us + reads x 50 ns), uncorrupted;
-//   t0-bit-identical         at the precise operating point the approx-only
-//                            sort output already equals the golden keys
-//                            with zero corrupted writes;
+//   t0-bit-identical         at the precise operating point, with no
+//                            injector attached, the approx-only sort
+//                            output already equals the golden keys with
+//                            zero corrupted writes;
 //   trace-conservation       replaying the access trace through
 //                            mem::MemorySystem conserves accesses across
 //                            the cache hierarchy and PCM (hits + misses ==
@@ -69,9 +70,6 @@ struct OracleOptions {
   /// Replay the full access trace through mem::MemorySystem and check
   /// conservation. Costs memory proportional to the access count.
   bool check_trace_conservation = false;
-  /// Run the approx-only bit-identical check when paper_t == 0 and no
-  /// injector is attached.
-  bool check_bit_identical_at_t0 = true;
 };
 
 /// One violated invariant.

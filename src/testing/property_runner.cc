@@ -1,6 +1,7 @@
 #include "testing/property_runner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/random.h"
@@ -35,6 +36,9 @@ const std::vector<InputShape>& ShapePool(const RunnerOptions& options) {
   return options.shapes.empty() ? AllShapes() : options.shapes;
 }
 
+/// Intra-sort thread counts MakeRandomCase draws from.
+constexpr int kSortThreadPool[] = {1, 2, 4};
+
 /// Seed for case `index` under root `seed`; also the engine seed, so the
 /// whole run replays from the pair alone.
 uint64_t CaseSeed(uint64_t seed, uint64_t index) {
@@ -63,13 +67,9 @@ OracleCase MakeRandomCase(const RunnerOptions& options, uint64_t index) {
       options.t_labels[rng.UniformInt(options.t_labels.size())];
   oracle_case.algorithm = algorithms[rng.UniformInt(algorithms.size())];
   oracle_case.shape = shapes[rng.UniformInt(shapes.size())];
-  if (!options.sort_thread_pool.empty()) {
-    oracle_case.sort_threads = options.sort_thread_pool[rng.UniformInt(
-        options.sort_thread_pool.size())];
-  }
-  if (options.randomize_lsd_sqrt_arena) {
-    oracle_case.lsd_sqrt_arena = rng.UniformInt(2) == 1;
-  }
+  oracle_case.sort_threads =
+      kSortThreadPool[rng.UniformInt(std::size(kSortThreadPool))];
+  oracle_case.lsd_sqrt_arena = rng.UniformInt(2) == 1;
   return oracle_case;
 }
 
@@ -118,7 +118,7 @@ RunnerResult RunCases(const RunnerOptions& options,
   if (!result.failures.empty()) {
     if (options.shrink) {
       result.minimized = ShrinkFailure(result.failures.front().oracle_case,
-                                       check, options.max_shrink_steps);
+                                       check, kMaxShrinkSteps);
     } else {
       result.minimized = result.failures.front();
     }

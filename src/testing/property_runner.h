@@ -33,7 +33,6 @@ struct RunnerOptions {
   int threads = 1;
   /// Greedily minimize the first failing case before reporting it.
   bool shrink = true;
-  size_t max_shrink_steps = 64;
 
   /// The pools MakeRandomCase draws from.
   size_t min_n = 4;
@@ -41,12 +40,10 @@ struct RunnerOptions {
   std::vector<int> t_labels = {0, 30, 55, 100};
   std::vector<sort::AlgorithmId> algorithms;  // Empty = StudyAlgorithms().
   std::vector<InputShape> shapes;             // Empty = AllShapes().
-  /// Intra-sort thread counts MakeRandomCase draws from (empty keeps the
-  /// default of 1). Any value must give the same verdict and digest.
-  std::vector<int> sort_thread_pool = {1, 2, 4};
-  /// Also randomize the Radsort-style O(sqrt n) LSD arena mode.
-  bool randomize_lsd_sqrt_arena = true;
 };
+
+/// Shrink steps RunCases spends minimizing the first failing case.
+inline constexpr size_t kMaxShrinkSteps = 64;
 
 struct RunnerResult {
   size_t cases_run = 0;
@@ -70,7 +67,10 @@ struct RunnerResult {
 /// ones the paper benchmarks.
 const std::vector<sort::AlgorithmId>& AllKindAlgorithms();
 
-/// The deterministic random case at (options.seed, index).
+/// The deterministic random case at (options.seed, index). Besides the
+/// pools above, each case also draws its intra-sort thread count from
+/// {1, 2, 4} and whether the LSD sorts use the Radsort-style O(sqrt n)
+/// arena; any value must give the same verdict and digest.
 OracleCase MakeRandomCase(const RunnerOptions& options, uint64_t index);
 
 /// Runs an explicit case list (e.g. a full shape x T x algorithm matrix).

@@ -1,9 +1,14 @@
 #include "approx/approx_array.h"
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "approx/approx_memory.h"
 #include "common/random.h"
+#include "testing/fault_injection.h"
 
 namespace approxmem::approx {
 namespace {
@@ -142,6 +147,35 @@ TEST(ApproxArrayTest, TraceRecordsAddresses) {
   EXPECT_NE(a.base_address(), b.base_address());
   EXPECT_EQ(trace[2].kind, mem::AccessKind::kRead);
   EXPECT_EQ(trace[2].address, a.base_address() + 4);
+}
+
+TEST(ApproxArrayTest, BumpAllocatorDoublesStrideAcrossQuarantines) {
+  // Without a placement policy, a monitored allocation probes candidates
+  // from a bump pointer. Every approx-domain write below 7 spans errs, so
+  // the first three candidates are quarantined and the pointer backs off
+  // by 1x, 2x and 4x the span before the fourth candidate passes.
+  constexpr uint64_t kSpan = 8192;  // 1000 words round up to 2 pages.
+  testing::FaultPlan plan;
+  testing::ErrorRateOverride hot;
+  hot.region = testing::AddressRegion{0, 7 * kSpan};
+  hot.probability = 1.0;
+  plan.rate_overrides.push_back(hot);
+  testing::FaultInjector injector(plan);
+  ApproxMemory::Options options = DefaultOptions();
+  options.fault_hook = &injector;
+  options.health.enabled = true;
+  ApproxMemory memory(options);
+
+  const ApproxArrayU32 first = memory.NewApproxArray(1000, 0.055);
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+      {0, kSpan}, {kSpan, kSpan}, {3 * kSpan, kSpan}};
+  EXPECT_EQ(memory.health().quarantined_regions(), expected);
+  EXPECT_EQ(memory.health().stats().allocation_retries, 3u);
+  EXPECT_EQ(first.base_address(), 7 * kSpan);
+  // The next allocation continues right after the accepted candidate.
+  const ApproxArrayU32 second = memory.NewApproxArray(1000, 0.055);
+  EXPECT_EQ(second.base_address(), 8 * kSpan);
+  EXPECT_EQ(memory.health().stats().regions_quarantined, 3u);
 }
 
 TEST(ApproxArrayTest, ExactModeMatchesFastModeStatistically) {

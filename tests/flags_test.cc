@@ -58,6 +58,42 @@ TEST(FlagsTest, RejectsPositionalArguments) {
   EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FlagsTest, NumbersParseInFull) {
+  const Flags flags = MustParse({"--threads=-1", "--budget=4e6", "--t=.5"});
+  EXPECT_EQ(flags.GetInt("threads", 0), -1);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("budget", 0.0), 4.0e6);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("t", 0.0), 0.5);
+}
+
+TEST(FlagsDeathTest, IntegerInENotationExits) {
+  const Flags flags = MustParse({"--n=2e3"});
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2),
+              "invalid value for --n: '2e3'");
+}
+
+TEST(FlagsDeathTest, NonNumericIntegerExits) {
+  const Flags flags = MustParse({"--n=abc", "--seed="});
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2),
+              "invalid value for --n: 'abc'");
+  EXPECT_EXIT(flags.GetInt("seed", 0), ::testing::ExitedWithCode(2),
+              "invalid value for --seed");
+}
+
+TEST(FlagsDeathTest, OutOfRangeIntegerExits) {
+  const Flags flags = MustParse({"--n=99999999999999999999"});
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2),
+              "invalid value for --n");
+}
+
+TEST(FlagsDeathTest, NumberWithTrailingGarbageExits) {
+  const Flags flags = MustParse({"--t=0.055x", "--full"});
+  EXPECT_EXIT(flags.GetDouble("t", 0.0), ::testing::ExitedWithCode(2),
+              "invalid value for --t: '0.055x'");
+  // A bare flag holds "true", which is not a number either.
+  EXPECT_EXIT(flags.GetDouble("full", 0.0), ::testing::ExitedWithCode(2),
+              "invalid value for --full");
+}
+
 TEST(FlagsTest, EnvSizeParsesAndDefaults) {
   ::setenv("APPROXMEM_TEST_ENV_N", "12345", 1);
   EXPECT_EQ(Flags::EnvSize("APPROXMEM_TEST_ENV_N", 1), 12345u);

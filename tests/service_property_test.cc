@@ -182,9 +182,7 @@ std::string CheckInvariants(const PropertyConfig& config, uint64_t seed,
            std::to_string(stats.jobs_submitted) + " jobs";
   }
   for (int s = 0; s < config.shards; ++s) {
-    const service::WearPlacement* wear = sort_service.shard_wear(s);
-    if (wear == nullptr) return "shard wear ledger missing";
-    if (wear->quarantine_events() !=
+    if (sort_service.shard_wear(s).quarantine_events() !=
         sort_service.shard_health(s).regions_quarantined) {
       return "shard " + std::to_string(s) +
              ": wear policy saw a different quarantine count than the "
@@ -374,7 +372,7 @@ TEST(ServiceProperty, ExtsortLeaseContentionDefersNotDrops) {
   config.shards = 4;
   service::SortService sort_service(MakeOptions(config, 9));
   std::vector<service::TenantSpec> tenants = PropertyTenants();
-  tenants[0].extsort_budget_bytes = tenants[0].extsort.lease_bytes;
+  tenants[0].extsort_budget_bytes = extsort::kExtsortLeaseBytes;
   for (const service::TenantSpec& tenant : tenants) {
     ASSERT_TRUE(sort_service.RegisterTenant(tenant).ok());
   }

@@ -614,13 +614,12 @@ int Serve(const Flags& flags, uint64_t seed) {
   shards_table.SetHeader({"shard", "wear_imbalance", "quarantine_events",
                           "regions_quarantined", "alloc_retries"});
   for (int s = 0; s < options.shards; ++s) {
-    const service::WearPlacement* wear = service.shard_wear(s);
+    const service::WearPlacement& wear = service.shard_wear(s);
     const approx::HealthStats health = service.shard_health(s);
     shards_table.AddRow(
-        {TablePrinter::FmtInt(s),
-         wear ? TablePrinter::Fmt(wear->WearImbalance(), 3) : "-",
-         TablePrinter::FmtInt(static_cast<long long>(
-             wear ? wear->quarantine_events() : 0)),
+        {TablePrinter::FmtInt(s), TablePrinter::Fmt(wear.WearImbalance(), 3),
+         TablePrinter::FmtInt(
+             static_cast<long long>(wear.quarantine_events())),
          TablePrinter::FmtInt(
              static_cast<long long>(health.regions_quarantined)),
          TablePrinter::FmtInt(

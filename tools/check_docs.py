@@ -16,7 +16,7 @@ Path tokens may carry a :line suffix or glob-ish tails ("src/sort/*"); the
 directory part is what must exist. Flags checked only in lines that invoke
 approxmem_cli, because bench binaries share the parser but add their own
 flags; bench-only flags are matched against a small allowlist harvested
-from bench/bench_common.h instead.
+from bench/bench_lib.h and the bench sources instead.
 
 Exit 0 when everything resolves; 1 with a per-reference report otherwise.
 """
@@ -68,16 +68,15 @@ def cli_flags(cli):
 
 
 def bench_flags(root):
-    """Flags the bench harness adds on top of the CLI parser."""
+    """Flags the bench harness adds on top of the CLI parser. Raises
+    OSError when the shared bench header is missing."""
+    bench = os.path.join(root, "bench")
+    names = ["bench_lib.h"] + sorted(
+        name for name in os.listdir(bench) if name.endswith(".cc"))
     flags = set()
-    common = os.path.join(root, "bench", "bench_common.h")
-    if os.path.exists(common):
-        with open(common) as f:
+    for name in names:
+        with open(os.path.join(bench, name)) as f:
             flags.update(FLAG_RE.findall(f.read()))
-    for name in os.listdir(os.path.join(root, "bench")):
-        if name.endswith(".cc"):
-            with open(os.path.join(root, "bench", name)) as f:
-                flags.update(FLAG_RE.findall(f.read()))
     return flags
 
 
@@ -123,7 +122,12 @@ def main():
     known_cli = cli_flags(args.cli)
     if args.cli is not None and known_cli is None:
         return 1
-    known_bench = bench_flags(args.root)
+    try:
+        known_bench = bench_flags(args.root)
+    except OSError as error:
+        print(f"error: cannot read the bench flag sources: {error}",
+              file=sys.stderr)
+        return 1
 
     failures = []
     checked = 0
