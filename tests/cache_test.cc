@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/random.h"
+
 namespace approxmem::mem {
 namespace {
 
@@ -80,6 +85,101 @@ TEST(CacheTest, ResetStatsKeepsContents) {
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_TRUE(cache.AccessRead(0));  // Line still resident.
+}
+
+// Reference model: the clock-stamped LRU cache that the recency-ordered
+// sets replaced. Each line holds a tag, a valid bit and the time of its
+// last use; a read miss fills the first invalid way, else the way used
+// least recently.
+class ClockStampedLru {
+ public:
+  explicit ClockStampedLru(const CacheConfig& config)
+      : ways_(config.ways),
+        line_bytes_(config.line_bytes),
+        sets_(config.capacity_bytes / (uint64_t{config.ways} *
+                                       config.line_bytes)),
+        lines_(sets_ * ways_) {}
+
+  bool Access(uint64_t address, bool allocate) {
+    const uint64_t line = address / line_bytes_;
+    const uint64_t tag = line / sets_;
+    Line* set = &lines_[(line % sets_) * ways_];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].tag == tag) {
+        set[w].last_used = ++clock_;
+        ++hits_;
+        return true;
+      }
+    }
+    ++misses_;
+    if (!allocate) return false;
+    uint32_t victim = 0;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = w;
+        break;
+      }
+      if (set[w].last_used < set[victim].last_used) victim = w;
+    }
+    set[victim] = Line{tag, ++clock_, true};
+    return false;
+  }
+
+  void Flush() { lines_.assign(lines_.size(), Line{}); }
+  void ResetStats() { hits_ = misses_ = 0; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  struct Line {
+    uint64_t tag = 0;
+    uint64_t last_used = 0;
+    bool valid = false;
+  };
+
+  uint32_t ways_;
+  uint64_t line_bytes_;
+  uint64_t sets_;
+  std::vector<Line> lines_;
+  uint64_t clock_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+TEST(CacheTest, MatchesClockStampedLruReference) {
+  for (const uint32_t ways : {1u, 3u, 4u, 8u, 16u}) {
+    SCOPED_TRACE(::testing::Message() << ways << " ways");
+    CacheConfig config;
+    config.ways = ways;
+    config.line_bytes = 64;
+    config.capacity_bytes = uint64_t{ways} * 64 * 16;  // 16 sets.
+    Cache cache(config);
+    ClockStampedLru reference(config);
+    Rng rng(ways);
+    for (int i = 0; i < 200000; ++i) {
+      const uint64_t r = rng.Next64();
+      // Half the accesses stay within twice the capacity, so sets hit and
+      // evict; the rest spread over 64x the capacity.
+      const uint64_t span = config.capacity_bytes * ((r & 1) ? 2 : 64);
+      const uint64_t address = (r >> 16) % span;
+      if ((r >> 1) % 5000 == 0) {
+        cache.Flush();
+        reference.Flush();
+      } else if ((r >> 1) % 5000 == 1) {
+        cache.ResetStats();
+        reference.ResetStats();
+      } else if ((r >> 1) & 1) {
+        ASSERT_EQ(cache.AccessWrite(address), reference.Access(address, false))
+            << "write " << i;
+      } else {
+        ASSERT_EQ(cache.AccessRead(address), reference.Access(address, true))
+            << "read " << i;
+      }
+    }
+    EXPECT_EQ(cache.hits(), reference.hits());
+    EXPECT_EQ(cache.misses(), reference.misses());
+    EXPECT_GT(cache.hits(), 0u);
+  }
 }
 
 TEST(CacheHierarchyTest, PaperDefaultGeometry) {

@@ -38,6 +38,56 @@ TEST(PcmSimulatorTest, BankInterleavingByPage) {
   EXPECT_EQ(sim.BankOf(32ull * 4096), 0u);  // Wraps at 32 banks.
 }
 
+TEST(PcmSimulatorTest, NonPowerOfTwoBankCountInterleavesByModulo) {
+  PcmConfig config;
+  config.ranks = 3;
+  config.banks_per_rank = 2;  // Six banks.
+  PcmSimulator sim(config);
+  for (uint64_t page = 0; page < 100; ++page) {
+    EXPECT_EQ(sim.BankOf(page * 4096 + 4095), page % 6) << page;
+    EXPECT_EQ(sim.RowOf(page * 4096 + 4095), page) << page;
+  }
+  // 2^40 / 4096 = 2^28 pages, and 2^28 mod 6 = 4 (a mask would give 0).
+  EXPECT_EQ(sim.BankOf(uint64_t{1} << 40), 4u);
+  // Six writes on six distinct banks drain in parallel; a seventh page
+  // wraps around to bank 0 and queues behind the first write.
+  for (uint64_t page = 0; page < 7; ++page) sim.Write(page * 4096);
+  sim.Finish();
+  EXPECT_DOUBLE_EQ(sim.Stats().completion_time_ns, 2000.0);
+}
+
+// Many writes to one bank with distinct service latencies: the ring must
+// hand them back in posting order as it wraps around.
+PcmStats SingleBankWriteStream(uint32_t depth) {
+  PcmConfig config;
+  config.write_queue_depth = depth;
+  PcmSimulator sim(config);
+  for (uint64_t i = 0; i < 100; ++i) {
+    sim.Write(i * 32 * 4096, 100.0 * static_cast<double>(i % 7 + 1));
+    if (i % 10 == 9) sim.Read(4096);  // Another bank: lets time pass.
+  }
+  sim.Finish();
+  return sim.Stats();
+}
+
+TEST(PcmSimulatorTest, WriteQueueRingOfDepthOne) {
+  const PcmStats stats = SingleBankWriteStream(1);
+  EXPECT_EQ(stats.writes, 100u);
+  EXPECT_DOUBLE_EQ(stats.total_write_latency_ns, 39500.0);
+  EXPECT_DOUBLE_EQ(stats.write_stall_ns, 38750.0);
+  EXPECT_EQ(stats.write_queue_full_events, 49u);
+  EXPECT_DOUBLE_EQ(stats.completion_time_ns, 39500.0);
+}
+
+TEST(PcmSimulatorTest, WriteQueueRingOfDepthThree) {
+  const PcmStats stats = SingleBankWriteStream(3);
+  EXPECT_EQ(stats.writes, 100u);
+  EXPECT_DOUBLE_EQ(stats.total_write_latency_ns, 39500.0);
+  EXPECT_DOUBLE_EQ(stats.write_stall_ns, 37450.0);
+  EXPECT_EQ(stats.write_queue_full_events, 48u);
+  EXPECT_DOUBLE_EQ(stats.completion_time_ns, 39500.0);
+}
+
 TEST(PcmSimulatorTest, SingleReadCostsReadLatency) {
   PcmSimulator sim(PcmConfig{});
   const double latency = sim.Read(0);
