@@ -99,8 +99,6 @@ class BankedPcmBackend final : public MemoryBackend {
   double min_knob() const override { return inner_->min_knob(); }
   double precise_knob() const override { return inner_->precise_knob(); }
 
-  mem::MemorySystem* cost_system() override { return system_.get(); }
-
  private:
   std::unique_ptr<MemoryBackend> inner_;
   std::unique_ptr<mem::MemorySystem> system_;

@@ -38,10 +38,6 @@
 #include "mlc/calibration.h"
 #include "mlc/mlc_config.h"
 
-namespace approxmem::mem {
-class MemorySystem;
-}  // namespace approxmem::mem
-
 namespace approxmem::approx {
 
 /// Simulation fidelity of approximate writes (honoured by backends whose
@@ -132,10 +128,6 @@ class MemoryBackend {
 
   /// Knob value reported for fully precise attempts (diagnostics only).
   virtual double precise_knob() const = 0;
-
-  /// The trace-driven cost substrate, when this backend routes costs
-  /// through one (null for flat-cost backends).
-  virtual mem::MemorySystem* cost_system() { return nullptr; }
 };
 
 /// Factory invoked once per ApproxMemory instance.

@@ -1,5 +1,8 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/check.h"
 
 namespace approxmem::mem {
@@ -34,61 +37,47 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   num_sets_ = static_cast<uint32_t>(
       config.capacity_bytes /
       (static_cast<uint64_t>(config.ways) * config.line_bytes));
-  lines_.assign(static_cast<size_t>(num_sets_) * config.ways, Line{});
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(config.line_bytes));
+  set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets_));
+  ways_.assign(static_cast<size_t>(num_sets_) * config.ways, 0);
 }
 
-int Cache::FindWay(uint32_t set, uint64_t tag) const {
-  const Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
+uint64_t* Cache::SetOf(uint64_t address, uint64_t* entry) {
+  const uint64_t line = address >> line_shift_;
+  *entry = (line >> set_shift_) + 1;
+  return &ways_[static_cast<size_t>(line & (num_sets_ - 1)) * config_.ways];
+}
+
+bool Cache::Promote(uint64_t* set, uint64_t entry) {
   for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) return static_cast<int>(w);
-  }
-  return -1;
-}
-
-void Cache::Touch(uint32_t set, int way) {
-  lines_[static_cast<size_t>(set) * config_.ways + static_cast<size_t>(way)]
-      .last_used = ++clock_;
-}
-
-void Cache::Install(uint32_t set, uint64_t tag) {
-  Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
-  uint32_t victim = 0;
-  uint64_t oldest = ~uint64_t{0};
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (!base[w].valid) {
-      victim = w;
-      break;
+    if (set[w] == entry) {
+      std::copy_backward(set, set + w, set + w + 1);
+      set[0] = entry;
+      return true;
     }
-    if (base[w].last_used < oldest) {
-      oldest = base[w].last_used;
-      victim = w;
-    }
+    // Valid entries are packed at the front; the rest of the set is empty.
+    if (set[w] == 0) return false;
   }
-  base[victim] = Line{tag, ++clock_, true};
+  return false;
 }
 
 bool Cache::AccessRead(uint64_t address) {
-  const uint64_t line = address / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  const uint64_t tag = line / num_sets_;
-  const int way = FindWay(set, tag);
-  if (way >= 0) {
-    Touch(set, way);
+  uint64_t entry;
+  uint64_t* set = SetOf(address, &entry);
+  if (Promote(set, entry)) {
     ++hits_;
     return true;
   }
   ++misses_;
-  Install(set, tag);
+  std::copy_backward(set, set + config_.ways - 1, set + config_.ways);
+  set[0] = entry;
   return false;
 }
 
 bool Cache::AccessWrite(uint64_t address) {
-  const uint64_t line = address / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  const uint64_t tag = line / num_sets_;
-  const int way = FindWay(set, tag);
-  if (way >= 0) {
-    Touch(set, way);
+  uint64_t entry;
+  uint64_t* set = SetOf(address, &entry);
+  if (Promote(set, entry)) {
     ++hits_;
     return true;
   }
@@ -102,9 +91,7 @@ void Cache::ResetStats() {
   misses_ = 0;
 }
 
-void Cache::Flush() {
-  for (auto& line : lines_) line = Line{};
-}
+void Cache::Flush() { std::fill(ways_.begin(), ways_.end(), 0); }
 
 CacheHierarchy CacheHierarchy::PaperDefault() {
   CacheConfig l1;

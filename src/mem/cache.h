@@ -2,6 +2,11 @@
 //
 // All levels are write-through (the paper assumes write-through so that
 // every data write reaches main memory); writes do not allocate lines.
+//
+// Each way holds one 8-byte entry, `tag + 1` (0 marks an invalid way), and
+// each set keeps its ways in recency order, most recent first: a hit
+// rotates its entry to the front and a read miss shifts the set down one
+// way, dropping the least recent entry. That is exact LRU with no clock.
 #ifndef APPROXMEM_MEM_CACHE_H_
 #define APPROXMEM_MEM_CACHE_H_
 
@@ -42,21 +47,17 @@ class Cache {
   void Flush();
 
  private:
-  struct Line {
-    uint64_t tag = 0;
-    uint64_t last_used = 0;
-    bool valid = false;
-  };
-
-  // Returns the way index of `tag` in `set`, or -1.
-  int FindWay(uint32_t set, uint64_t tag) const;
-  void Touch(uint32_t set, int way);
-  void Install(uint32_t set, uint64_t tag);
+  // The ways of the set `address` maps to, and the entry its line would
+  // hold there.
+  uint64_t* SetOf(uint64_t address, uint64_t* entry);
+  // On a hit moves `entry` to the front of `set` and returns true.
+  bool Promote(uint64_t* set, uint64_t entry);
 
   CacheConfig config_;
   uint32_t num_sets_;
-  std::vector<Line> lines_;  // num_sets_ * ways, row-major by set.
-  uint64_t clock_ = 0;
+  uint32_t line_shift_ = 0;  // log2(line_bytes)
+  uint32_t set_shift_ = 0;   // log2(num_sets_)
+  std::vector<uint64_t> ways_;  // num_sets_ * ways, row-major by set.
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "mem/pcm.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -27,16 +28,29 @@ Status PcmConfig::Validate() const {
 
 PcmSimulator::PcmSimulator(const PcmConfig& config) : config_(config) {
   APPROXMEM_CHECK_OK(config.Validate());
-  banks_.resize(config.TotalBanks());
+  const uint32_t total = config.TotalBanks();
+  page_shift_ = static_cast<uint32_t>(std::countr_zero(config.page_bytes));
+  bank_mask_ = std::has_single_bit(total) ? total - 1 : 0;
+  banks_.resize(total);
+  for (uint32_t b = 0; b < total; ++b) {
+    banks_[b].first_slot = b * config.write_queue_depth;
+  }
+  queue_slots_.resize(static_cast<size_t>(total) * config.write_queue_depth);
 }
 
 uint32_t PcmSimulator::BankOf(uint64_t address) const {
-  return static_cast<uint32_t>((address / config_.page_bytes) %
-                               config_.TotalBanks());
+  const uint64_t page = address >> page_shift_;
+  return static_cast<uint32_t>(bank_mask_ != 0 ? page & bank_mask_
+                                               : page % banks_.size());
 }
 
 uint64_t PcmSimulator::RowOf(uint64_t address) const {
-  return address / config_.page_bytes;
+  return address >> page_shift_;
+}
+
+void PcmSimulator::PopOldest(Bank& bank) {
+  if (++bank.head == config_.write_queue_depth) bank.head = 0;
+  --bank.queued;
 }
 
 double PcmSimulator::ServiceLatency(Bank& bank, uint64_t row,
@@ -51,21 +65,21 @@ double PcmSimulator::ServiceLatency(Bank& bank, uint64_t row,
 
 void PcmSimulator::PumpBank(Bank& bank, double now) {
   // Start queued writes back-to-back while the bank frees up before `now`.
-  while (!bank.write_queue.empty() && bank.inflight_end_ns <= now) {
-    const QueuedWrite& write = bank.write_queue.front();
+  while (bank.queued != 0 && bank.inflight_end_ns <= now) {
+    const QueuedWrite& write = Oldest(bank);
     const double start = std::max(write.arrival_ns, bank.inflight_end_ns);
     if (start > now) break;
     const double service = ServiceLatency(bank, write.row, write.service_ns);
     bank.inflight_end_ns = start + service;
     stats_.total_write_latency_ns += service;
-    bank.write_queue.pop_front();
+    PopOldest(bank);
   }
 }
 
 double PcmSimulator::DrainOneWrite(Bank& bank) {
-  APPROXMEM_CHECK(!bank.write_queue.empty());
-  const QueuedWrite write = bank.write_queue.front();
-  bank.write_queue.pop_front();
+  APPROXMEM_CHECK(bank.queued != 0);
+  const QueuedWrite write = Oldest(bank);
+  PopOldest(bank);
   const double start = std::max(write.arrival_ns, bank.inflight_end_ns);
   const double service = ServiceLatency(bank, write.row, write.service_ns);
   bank.inflight_end_ns = start + service;
@@ -107,7 +121,7 @@ void PcmSimulator::Write(uint64_t address) {
 void PcmSimulator::Write(uint64_t address, double service_latency_ns) {
   Bank& bank = banks_[BankOf(address)];
   PumpBank(bank, cpu_time_ns_);
-  if (bank.write_queue.size() >= config_.write_queue_depth) {
+  if (bank.queued == config_.write_queue_depth) {
     // Full write queue: the CPU stalls until the oldest write drains.
     const double freed_at = DrainOneWrite(bank);
     if (freed_at > cpu_time_ns_) {
@@ -116,17 +130,20 @@ void PcmSimulator::Write(uint64_t address, double service_latency_ns) {
     }
     ++stats_.write_queue_full_events;
   }
-  bank.write_queue.push_back(
+  uint32_t tail = bank.head + bank.queued;
+  if (tail >= config_.write_queue_depth) tail -= config_.write_queue_depth;
+  queue_slots_[bank.first_slot + tail] =
       QueuedWrite{cpu_time_ns_,
                   service_latency_ns * FaultFactor(address, AccessKind::kWrite),
-                  RowOf(address)});
+                  RowOf(address)};
+  ++bank.queued;
   ++stats_.writes;
 }
 
 void PcmSimulator::Finish() {
   double completion = cpu_time_ns_;
   for (auto& bank : banks_) {
-    while (!bank.write_queue.empty()) {
+    while (bank.queued != 0) {
       DrainOneWrite(bank);
     }
     completion = std::max(completion, bank.inflight_end_ns);

@@ -5,12 +5,13 @@
 // priority over queued writes (writes are posted and drain in the
 // background; reads must wait only for the operation currently in service).
 // The CPU issues accesses in trace order: reads are blocking, writes stall
-// only when the target bank's write queue is full.
+// only when the target bank's write queue is full. Because reads block, at
+// most one read is ever outstanding: read_queue_depth is validated and
+// reported but never fills.
 #ifndef APPROXMEM_MEM_PCM_H_
 #define APPROXMEM_MEM_PCM_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/status.h"
@@ -120,9 +121,17 @@ class PcmSimulator {
     // The row (page) currently held in the bank's row buffer; kNoRow when
     // nothing is open.
     uint64_t open_row = ~uint64_t{0};
-    // Posted writes not yet started.
-    std::deque<QueuedWrite> write_queue;
+    // Posted writes not yet started: a ring of write_queue_depth slots in
+    // queue_slots_ from `first_slot`, oldest at `head`.
+    uint32_t first_slot = 0;
+    uint32_t head = 0;
+    uint32_t queued = 0;
   };
+
+  QueuedWrite& Oldest(Bank& bank) {
+    return queue_slots_[bank.first_slot + bank.head];
+  }
+  void PopOldest(Bank& bank);
 
   // Effective service latency of an access to `row` on `bank`, applying
   // the row-buffer hit factor, and opening the row.
@@ -139,7 +148,12 @@ class PcmSimulator {
   double FaultFactor(uint64_t address, AccessKind kind);
 
   PcmConfig config_;
+  uint32_t page_shift_ = 0;  // log2(page_bytes)
+  // TotalBanks() - 1 when the bank count is a power of two, else 0 (the
+  // bank index then falls back to a modulo).
+  uint64_t bank_mask_ = 0;
   std::vector<Bank> banks_;
+  std::vector<QueuedWrite> queue_slots_;  // TotalBanks() * write_queue_depth
   PcmStats stats_;
   PcmFaultListener* faults_ = nullptr;
   double cpu_time_ns_ = 0.0;
