@@ -10,7 +10,7 @@
 // times the striped intra-sort radix hot path at 1/2/4/8 workers plus the
 // batched-vs-scalar write kernels and writes
 // bench_artifacts/perf_snapshot.json — the snapshot committed at the repo
-// root as BENCH_10.json and diffed by tools/bench_compare in CI.
+// root as BENCH_14.json and diffed by tools/bench_compare in CI.
 #include <benchmark/benchmark.h>
 #include <sys/stat.h>
 
@@ -238,7 +238,10 @@ double TimeStripedSort(int threads, bool sqrt_arena, size_t n) {
 }
 
 // Throughput of n approximate word writes: the scalar per-word Set path
-// vs. the SetRange span that runs the batched codec/sampler kernels.
+// (the model's single-word Write kernel) vs. the SetRange span (its block
+// WriteBatch kernel). Both kernels run at about the same speed, so the
+// batched_over_scalar ratio guards that SetRange stays no slower than a
+// Set loop.
 double TimeApproxWrites(bool batched, size_t n) {
   approx::ApproxMemory::Options options;
   options.calibration_trials = 50000;

@@ -22,7 +22,7 @@
 // service stopped completing verified jobs after the first retirement, or
 // when any completed job's output digest disagrees with std::sort (the
 // differential oracle). Emits bench_artifacts/endurance_snapshot.json for
-// tools/bench_compare (BENCH_10.json gate).
+// tools/bench_compare (BENCH_14.json gate).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -76,30 +76,41 @@ class ExactPcmWriteModel final : public WriteModel {
   double ns_per_iteration_;
 };
 
-/// Approximate PCM, fast path: calibrated per-level tables, batched.
+/// Approximate PCM, fast path: calibrated per-level tables.
 ///
-/// Write() is literally WriteBatch() over one word, so the scalar and
-/// batched paths cannot drift apart: clean-word costs come from the
-/// sampler's shared table kernel and error uniforms are drawn through the
-/// same block scan, whose draw sequence matches a per-word loop exactly.
+/// Two kernels share one draw sequence. Write() computes a single word:
+/// table stats, then one uniform only when the word can err, then the
+/// per-cell conditional sampler on a hit. WriteBatch() computes 64-word
+/// blocks and pulls the error uniforms in blocks through FirstCorrupted,
+/// which replays exactly that per-word sequence. The parity of the two
+/// (outcomes and final RNG position, on every cell layout) is pinned by
+/// WriteModelBatchTest and by ApproxArrayTest's SetRange/GetRange checks.
 class FastPcmWriteModel final : public WriteModel {
  public:
   FastPcmWriteModel(const mlc::CellCalibration& calibration,
                     double ns_per_iteration)
       : calibration_(calibration),
         config_(calibration.config()),
+        cells_(config_.CellsPerWord()),
         sampler_(calibration),
         ns_per_iteration_(ns_per_iteration) {}
 
   WordWriteOutcome Write(uint32_t intended, Rng& rng) override {
+    const mlc::BatchErrorSampler::WordStats stats = sampler_.StatsFor(intended);
     WordWriteOutcome outcome;
-    WriteBatch(&intended, 1, rng, &outcome);
+    outcome.stored = intended;
+    outcome.cost = stats.pv_sum / cells_ * ns_per_iteration_;
+    outcome.pv_iterations = stats.pv_sum;
+    const double word_error = 1.0 - stats.no_error;
+    if (word_error > 0.0 && rng.UniformDouble() < word_error) {
+      outcome.stored = SampleCorruptedWord(mlc::EncodeWord(intended, config_),
+                                           stats.no_error, rng);
+    }
     return outcome;
   }
 
   void WriteBatch(const uint32_t* intended, size_t count, Rng& rng,
                   WordWriteOutcome* outcomes) override {
-    const int cells = config_.CellsPerWord();
     constexpr size_t kChunkWords = 64;
     mlc::BatchErrorSampler::WordStats stats[kChunkWords];
     double word_error[kChunkWords];
@@ -108,7 +119,7 @@ class FastPcmWriteModel final : public WriteModel {
       sampler_.StatsForWords(intended + done, chunk, stats);
       for (size_t w = 0; w < chunk; ++w) {
         outcomes[done + w].stored = intended[done + w];
-        outcomes[done + w].cost = stats[w].pv_sum / cells * ns_per_iteration_;
+        outcomes[done + w].cost = stats[w].pv_sum / cells_ * ns_per_iteration_;
         outcomes[done + w].pv_iterations = stats[w].pv_sum;
         word_error[w] = 1.0 - stats[w].no_error;
       }
@@ -177,6 +188,7 @@ class FastPcmWriteModel final : public WriteModel {
 
   const mlc::CellCalibration& calibration_;
   mlc::MlcConfig config_;
+  int cells_;
   mlc::BatchErrorSampler sampler_;
   double ns_per_iteration_;
 };

@@ -8,8 +8,6 @@
 namespace approxmem {
 namespace {
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // SplitMix64 step, used only for seeding.
 inline uint64_t SplitMix64(uint64_t& state) {
   uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -25,23 +23,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : state_) s = SplitMix64(sm);
   // xoshiro must not start from the all-zero state.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-uint64_t Rng::Next64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::UniformDouble() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::UniformDouble(double lo, double hi) {

@@ -31,7 +31,8 @@ class Rng {
   static constexpr result_type max() { return ~uint64_t{0}; }
   result_type operator()() { return Next64(); }
 
-  /// Returns the next 64 random bits.
+  /// Returns the next 64 random bits. Defined inline (below) with
+  /// UniformDouble: every simulated approximate write draws through them.
   uint64_t Next64();
 
   /// Returns a double uniformly distributed in [0, 1).
@@ -64,10 +65,31 @@ class Rng {
   void FillUniformDoubles(double* out, size_t count);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+inline uint64_t Rng::Next64() {
+  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::UniformDouble() {
+  // 53 random mantissa bits -> uniform in [0, 1).
+  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
+}
 
 /// Generates `n` keys uniformly distributed over the full uint32 range.
 std::vector<uint32_t> UniformKeys(size_t n, Rng& rng);

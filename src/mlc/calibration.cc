@@ -297,27 +297,10 @@ BatchErrorSampler::BatchErrorSampler(const CellCalibration& calibration)
   }
 }
 
-BatchErrorSampler::WordStats BatchErrorSampler::StatsFor(
-    uint32_t word) const {
-  WordStats stats;
-  StatsForWords(&word, 1, &stats);
-  return stats;
-}
-
 void BatchErrorSampler::StatsForWords(const uint32_t* words, size_t count,
                                       WordStats* out) const {
   if (fast_layout_) {
-    for (size_t w = 0; w < count; ++w) {
-      const uint32_t word = words[w];
-      const size_t b0 = (word >> 24) & 0xffu;
-      const size_t b1 = (word >> 16) & 0xffu;
-      const size_t b2 = (word >> 8) & 0xffu;
-      const size_t b3 = word & 0xffu;
-      out[w].pv_sum = ((pv_byte_[b0] + pv_byte_[b1]) + pv_byte_[b2]) +
-                      pv_byte_[b3];
-      out[w].no_error = ((stay_byte_[b0] * stay_byte_[b1]) * stay_byte_[b2]) *
-                        stay_byte_[b3];
-    }
+    for (size_t w = 0; w < count; ++w) out[w] = ByteTableStats(words[w]);
     return;
   }
   const int cells = config_.CellsPerWord();

@@ -118,8 +118,14 @@ class BatchErrorSampler {
     double no_error = 1.0;  // Probability every cell reads back correct.
   };
 
-  /// Stats for one word.
-  WordStats StatsFor(uint32_t word) const;
+  /// Stats for one word: four byte-table lookups on the 16x2-bit fast
+  /// layout, the batched kernel over one word otherwise.
+  WordStats StatsFor(uint32_t word) const {
+    if (fast_layout_) return ByteTableStats(word);
+    WordStats stats;
+    StatsForWords(&word, 1, &stats);
+    return stats;
+  }
 
   /// Stats for `count` words at once (vectorizable table-lookup kernel on
   /// the 16x2-bit fast layout).
@@ -139,6 +145,21 @@ class BatchErrorSampler {
                                Rng& rng);
 
  private:
+  // The 16x2-bit kernel: folds the four per-byte partials most significant
+  // byte first, so the sums and products run left to right over the cells.
+  WordStats ByteTableStats(uint32_t word) const {
+    const size_t b0 = (word >> 24) & 0xffu;
+    const size_t b1 = (word >> 16) & 0xffu;
+    const size_t b2 = (word >> 8) & 0xffu;
+    const size_t b3 = word & 0xffu;
+    WordStats stats;
+    stats.pv_sum =
+        ((pv_byte_[b0] + pv_byte_[b1]) + pv_byte_[b2]) + pv_byte_[b3];
+    stats.no_error =
+        ((stay_byte_[b0] * stay_byte_[b1]) * stay_byte_[b2]) * stay_byte_[b3];
+    return stats;
+  }
+
   MlcConfig config_;
   bool fast_layout_ = false;
   // Per-level tables (any layout).

@@ -1,12 +1,15 @@
 #include "approx/approx_array.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "approx/approx_memory.h"
+#include "approx/memory_backend.h"
 #include "common/random.h"
 #include "testing/fault_injection.h"
 
@@ -195,6 +198,81 @@ TEST(ApproxArrayTest, ExactModeMatchesFastModeStatistically) {
   const auto [exact_error, exact_cost] = run(SimulationMode::kExact);
   EXPECT_NEAR(fast_error, exact_error, 0.1 * exact_error + 0.01);
   EXPECT_NEAR(fast_cost, exact_cost, 0.05 * exact_cost);
+}
+
+void ExpectSameStats(const MemoryStats& got, const MemoryStats& want) {
+  EXPECT_EQ(got.word_reads, want.word_reads);
+  EXPECT_EQ(got.word_writes, want.word_writes);
+  EXPECT_EQ(got.write_cost, want.write_cost);
+  EXPECT_EQ(got.read_cost, want.read_cost);
+  EXPECT_EQ(got.corrupted_writes, want.corrupted_writes);
+  EXPECT_EQ(got.sequential_writes, want.sequential_writes);
+  EXPECT_EQ(got.pv_iterations, want.pv_iterations);
+  EXPECT_EQ(got.degraded_regions, want.degraded_regions);
+}
+
+// Drives two arrays allocated from identically seeded memories: one through
+// Set/Get loops, the other through SetRange/GetRange over uneven spans (a
+// single word, short of, at, and just past the 64-word kernel block, then
+// the rest). The span calls promise bit-identical results, so every stored
+// value, every stats field and the RNG position must agree.
+void ExpectRangeCallsMatchScalarLoops(const std::string& backend,
+                                      double knob) {
+  SCOPED_TRACE(backend);
+  ApproxMemory::Options options = DefaultOptions();
+  options.backend = backend;
+  options.sequential_write_discount = 0.5;
+  ApproxMemory scalar_memory(options);
+  ApproxMemory range_memory(options);
+  constexpr size_t kN = 1000;
+  ApproxArrayU32 scalar = scalar_memory.NewApproxArray(kN, knob);
+  ApproxArrayU32 range = range_memory.NewApproxArray(kN, knob);
+
+  Rng keys(12);
+  std::vector<uint32_t> values(kN);
+  for (uint32_t& v : values) v = keys.NextU32();
+  const size_t spans[] = {1, 63, 64, 65, kN - 193};
+
+  for (size_t i = 0; i < kN; ++i) scalar.Set(i, values[i]);
+  size_t start = 0;
+  for (size_t span : spans) {
+    range.SetRange(start, values.data() + start, span);
+    start += span;
+  }
+  ASSERT_EQ(start, kN);
+  EXPECT_EQ(range.Snapshot(), scalar.Snapshot());
+  EXPECT_EQ(range.DeviatingElements(), scalar.DeviatingElements());
+  EXPECT_GT(scalar.DeviatingElements(), 0u);
+  ExpectSameStats(range.stats(), scalar.stats());
+
+  std::vector<uint32_t> scalar_reads(kN);
+  std::vector<uint32_t> range_reads(kN);
+  for (size_t i = 0; i < kN; ++i) scalar_reads[i] = scalar.Get(i);
+  start = 0;
+  for (size_t span : spans) {
+    range.GetRange(start, range_reads.data() + start, span);
+    start += span;
+  }
+  EXPECT_EQ(range_reads, scalar_reads);
+  ExpectSameStats(range.stats(), scalar.stats());
+
+  // Both streams must sit at the same position: a further pass of scalar
+  // writes corrupts the same words in both arrays.
+  std::reverse(values.begin(), values.end());
+  for (size_t i = 0; i < kN; ++i) {
+    scalar.Set(i, values[i]);
+    range.Set(i, values[i]);
+  }
+  EXPECT_EQ(range.Snapshot(), scalar.Snapshot());
+  ExpectSameStats(range.stats(), scalar.stats());
+}
+
+TEST(ApproxArrayTest, SetRangeAndGetRangeMatchScalarLoops) {
+  ExpectRangeCallsMatchScalarLoops(std::string(kPcmBackendName), 0.08);
+  ExpectRangeCallsMatchScalarLoops(std::string(kSpintronicBackendName), 1e-3);
+  // The address-sensitive branch: per-word WriteAt/ReadCostAt through the
+  // banked cache and write-queue model.
+  ExpectRangeCallsMatchScalarLoops(std::string(kBankedPcmBackendName), 0.08);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // bit-identical to the per-word loops they replace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -129,44 +130,86 @@ TEST(BatchErrorSamplerTest, FirstCorruptedMatchesScalarDrawSequence) {
   }
 }
 
-void ExpectWriteBatchParity(const std::string& backend_name, double knob) {
+// Checks one side's outcomes word for word against the per-word Write()
+// loop, then the final stream positions; returns the corrupted-word count.
+size_t ExpectSameOutcomes(const std::vector<uint32_t>& words,
+                          const std::vector<approx::WordWriteOutcome>& got,
+                          const std::vector<approx::WordWriteOutcome>& want,
+                          Rng got_rng, Rng want_rng) {
+  size_t corrupted = 0;
+  for (size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(got[i].stored, want[i].stored) << "word " << i;
+    EXPECT_EQ(got[i].cost, want[i].cost) << "word " << i;
+    EXPECT_EQ(got[i].pv_iterations, want[i].pv_iterations) << "word " << i;
+    if (want[i].stored != words[i]) ++corrupted;
+  }
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(got_rng.Next64(), want_rng.Next64());
+  return corrupted;
+}
+
+// Compares two batched streams against a per-word Write() loop on the same
+// seed: one WriteBatch over the whole span (64-word blocks internally; the
+// odd count exercises the partial tail), and an interleaved stream that
+// alternates single Write() calls with odd-sized WriteBatch() calls on one
+// Rng, so a kernel that left the stream anywhere but where the per-word
+// loop does would show up in the next call's draws.
+void ExpectWriteBatchParity(const std::string& backend_name, double knob,
+                            const mlc::MlcConfig& mlc = mlc::MlcConfig()) {
   approx::BackendContext context;
+  context.mlc = mlc;
   context.calibration_trials = 5000;
   auto backend = approx::CreateMemoryBackend(backend_name, context);
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  // 64-word blocks internally; the odd count exercises the partial tail.
   const size_t count = 2048 + 17;
   auto model = (*backend)->ModelFor(approx::AllocSpec::Approx(knob, count));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
 
   const std::vector<uint32_t> words = RandomWords(count, 0xba7c4);
   const uint64_t seed = 31337;
-  Rng batched_rng(seed);
   Rng scalar_rng(seed);
-  std::vector<approx::WordWriteOutcome> batched(count);
   std::vector<approx::WordWriteOutcome> scalar(count);
-  (*model)->WriteBatch(words.data(), count, batched_rng, batched.data());
   for (size_t i = 0; i < count; ++i) {
     scalar[i] = (*model)->Write(words[i], scalar_rng);
   }
 
-  uint64_t corrupted = 0;
-  for (size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(batched[i].stored, scalar[i].stored) << "word " << i;
-    ASSERT_EQ(batched[i].cost, scalar[i].cost) << "word " << i;
-    ASSERT_EQ(batched[i].pv_iterations, scalar[i].pv_iterations)
-        << "word " << i;
-    if (batched[i].stored != words[i]) ++corrupted;
-  }
+  Rng batched_rng(seed);
+  std::vector<approx::WordWriteOutcome> batched(count);
+  (*model)->WriteBatch(words.data(), count, batched_rng, batched.data());
   // The operating point is hot enough that the parity is not vacuous.
-  EXPECT_GT(corrupted, 0u) << backend_name;
-  for (int k = 0; k < 4; ++k) {
-    ASSERT_EQ(batched_rng.Next64(), scalar_rng.Next64());
+  EXPECT_GT(
+      ExpectSameOutcomes(words, batched, scalar, batched_rng, scalar_rng), 0u);
+
+  Rng mixed_rng(seed);
+  std::vector<approx::WordWriteOutcome> mixed(count);
+  size_t done = 0;
+  for (size_t batch = 1; done < count; batch += 2) {
+    mixed[done] = (*model)->Write(words[done], mixed_rng);
+    ++done;
+    const size_t span = std::min(batch, count - done);
+    (*model)->WriteBatch(words.data() + done, span, mixed_rng,
+                         mixed.data() + done);
+    done += span;
   }
+  ExpectSameOutcomes(words, mixed, scalar, mixed_rng, scalar_rng);
 }
 
 TEST(WriteModelBatchTest, FastPcmWriteBatchMatchesScalarWrites) {
   ExpectWriteBatchParity(std::string(approx::kPcmBackendName), 0.08);
+}
+
+// 4-bit and SLC cells miss the 16x2-bit byte tables: the scalar kernel's
+// StatsFor falls back to the batched codec plus the per-cell loop.
+TEST(WriteModelBatchTest, FastPcmFourBitWriteBatchMatchesScalarWrites) {
+  mlc::MlcConfig four_bit;
+  four_bit.levels = 16;
+  ExpectWriteBatchParity(std::string(approx::kPcmBackendName), 0.025,
+                         four_bit);
+}
+
+TEST(WriteModelBatchTest, FastPcmSlcWriteBatchMatchesScalarWrites) {
+  mlc::MlcConfig slc;
+  slc.levels = 2;
+  ExpectWriteBatchParity(std::string(approx::kPcmBackendName), 0.2, slc);
 }
 
 TEST(WriteModelBatchTest, SpintronicWriteBatchMatchesScalarWrites) {
