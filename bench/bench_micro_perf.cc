@@ -210,7 +210,7 @@ void WriteParallelSpeedupArtifact() {
 // --- perf_snapshot.json ----------------------------------------------------
 
 // One instrumented 6-bit striped LSD sort; median of three runs.
-double TimeStripedSort(int threads, bool sqrt_arena, size_t n) {
+double TimeStripedSort(int threads, size_t n) {
   ThreadPool pool(threads);
   approx::ApproxMemory::Options options;
   options.calibration_trials = 50000;
@@ -226,7 +226,6 @@ double TimeStripedSort(int threads, bool sqrt_arena, size_t n) {
       return memory.NewApproxArray(words, 0.055);
     };
     spec.tuning.pool = threads > 1 ? &pool : nullptr;
-    spec.tuning.lsd_sqrt_arena = sqrt_arena;
     Rng rng(4);
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(
@@ -241,38 +240,47 @@ double TimeStripedSort(int threads, bool sqrt_arena, size_t n) {
 // (the model's single-word Write kernel) vs. the SetRange span (its block
 // WriteBatch kernel). Both kernels run at about the same speed, so the
 // batched_over_scalar ratio guards that SetRange stays no slower than a
-// Set loop.
-double TimeApproxWrites(bool batched, size_t n) {
+// Set loop. The ratio sits close to its gate, so each side is the median
+// of nine runs, and the two sides alternate so that a change in host load
+// hits both alike.
+struct WriteSeconds {
+  double scalar;
+  double batched;
+};
+
+WriteSeconds TimeApproxWrites(size_t n) {
+  constexpr int kRuns = 9;
   approx::ApproxMemory::Options options;
   options.calibration_trials = 50000;
   approx::ApproxMemory memory(options);
   const auto keys = core::MakeKeys(core::WorkloadKind::kUniform, n, 11);
-  std::vector<double> samples;
-  for (int run = 0; run < 3; ++run) {
-    approx::ApproxArrayU32 array = memory.NewApproxArray(n, 0.055);
-    const auto start = std::chrono::steady_clock::now();
-    if (batched) {
-      array.SetRange(0, keys.data(), n);
-    } else {
-      for (size_t i = 0; i < n; ++i) array.Set(i, keys[i]);
+  std::vector<double> samples[2];  // [0] scalar, [1] batched.
+  for (int run = 0; run < kRuns; ++run) {
+    for (const bool batched : {false, true}) {
+      approx::ApproxArrayU32 array = memory.NewApproxArray(n, 0.055);
+      const auto start = std::chrono::steady_clock::now();
+      if (batched) {
+        array.SetRange(0, keys.data(), n);
+      } else {
+        for (size_t i = 0; i < n; ++i) array.Set(i, keys[i]);
+      }
+      samples[batched].push_back(SecondsSince(start));
     }
-    samples.push_back(SecondsSince(start));
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[1];
+  for (auto& side : samples) std::sort(side.begin(), side.end());
+  return {samples[0][kRuns / 2], samples[1][kRuns / 2]};
 }
 
 void WritePerfSnapshotArtifact() {
   constexpr size_t kSortN = 1 << 20;
   constexpr size_t kWriteN = 1 << 22;
-  const double serial = TimeStripedSort(1, /*sqrt_arena=*/false, kSortN);
-  const double two = TimeStripedSort(2, /*sqrt_arena=*/false, kSortN);
-  const double four = TimeStripedSort(4, /*sqrt_arena=*/false, kSortN);
-  const double eight = TimeStripedSort(8, /*sqrt_arena=*/false, kSortN);
-  const double sqrt_serial =
-      TimeStripedSort(1, /*sqrt_arena=*/true, kSortN);
-  const double scalar_writes = TimeApproxWrites(/*batched=*/false, kWriteN);
-  const double batched_writes = TimeApproxWrites(/*batched=*/true, kWriteN);
+  const double serial = TimeStripedSort(1, kSortN);
+  const double two = TimeStripedSort(2, kSortN);
+  const double four = TimeStripedSort(4, kSortN);
+  const double eight = TimeStripedSort(8, kSortN);
+  const WriteSeconds writes = TimeApproxWrites(kWriteN);
+  const double scalar_writes = writes.scalar;
+  const double batched_writes = writes.batched;
 
   ::mkdir("bench_artifacts", 0755);
   std::FILE* f = std::fopen("bench_artifacts/perf_snapshot.json", "w");
@@ -289,7 +297,6 @@ void WritePerfSnapshotArtifact() {
       "    \"algorithm\": \"6-bit LSD\",\n"
       "    \"n\": %zu,\n"
       "    \"serial_seconds\": %.6f,\n"
-      "    \"sqrt_arena_serial_seconds\": %.6f,\n"
       "    \"speedup\": {\"2\": %.3f, \"4\": %.3f, \"8\": %.3f}\n"
       "  },\n"
       "  \"kernels\": {\n"
@@ -299,7 +306,7 @@ void WritePerfSnapshotArtifact() {
       "    \"batched_over_scalar\": %.3f\n"
       "  }\n"
       "}\n",
-      ThreadPool::HardwareThreads(), kSortN, serial, sqrt_serial,
+      ThreadPool::HardwareThreads(), kSortN, serial,
       serial / two, serial / four, serial / eight, kWriteN,
       static_cast<double>(kWriteN) / scalar_writes / 1e6,
       static_cast<double>(kWriteN) / batched_writes / 1e6,

@@ -31,7 +31,6 @@ ApproxSortEngine::ApproxSortEngine(const EngineOptions& options)
 
 sort::SortTuning ApproxSortEngine::SortTuningForRuns() {
   sort::SortTuning tuning;
-  tuning.lsd_sqrt_arena = options_.lsd_sqrt_arena;
   if (options_.sort_pool != nullptr) {
     tuning.pool = options_.sort_pool;
   } else if (options_.sort_threads != 1) {

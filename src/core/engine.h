@@ -71,8 +71,6 @@ struct EngineOptions {
   /// Optional externally owned pool for the intra-sort passes; overrides
   /// sort_threads when set (the engine then spawns no threads). Not owned.
   ThreadPool* sort_pool = nullptr;
-  /// Use the Radsort-style O(sqrt n) recycled chunk arena for LSD radix.
-  bool lsd_sqrt_arena = false;
 };
 
 /// Result of sorting in approximate memory only (no precise output).
@@ -160,8 +158,7 @@ class ApproxSortEngine {
 
   /// The tuning handed to every sort this engine runs: resolves sort_pool /
   /// sort_threads (lazily spawning an owned pool on first use when
-  /// sort_threads != 1 and no external pool was given) and the LSD arena
-  /// mode.
+  /// sort_threads != 1 and no external pool was given).
   sort::SortTuning SortTuningForRuns();
 
  private:

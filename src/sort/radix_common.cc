@@ -7,23 +7,21 @@
 
 namespace approxmem::sort {
 
+Status ValidateRadix(const SortSpec& spec, const RadixOptions& options) {
+  Status status = ValidateSpec(spec, /*needs_buffers=*/true);
+  if (!status.ok()) return status;
+  if (options.bits < 1 || options.bits > 16) {
+    return Status::InvalidArgument("radix bits must be in [1, 16]");
+  }
+  return Status::Ok();
+}
+
 StripePlan StripePlan::ForN(size_t n) {
   StripePlan plan;
   plan.n = n;
   plan.count =
       std::clamp<size_t>(n / kMinStripeElements, 1, kMaxStripes);
   return plan;
-}
-
-size_t LsdArenaCapacity(size_t n) { return n; }
-
-void RunStripes(ThreadPool* pool, bool concurrent_ok, size_t count,
-                const std::function<void(size_t)>& fn) {
-  if (pool != nullptr && concurrent_ok && count > 1) {
-    pool->ParallelFor(0, count, fn);
-  } else {
-    for (size_t s = 0; s < count; ++s) fn(s);
-  }
 }
 
 RadixPlan RadixPlan::ForBits(int bits) {
@@ -38,6 +36,102 @@ RadixPlan RadixPlan::ForBits(int bits) {
 
 uint32_t RadixPlan::DigitLsd(uint32_t key, int pass) const {
   return (key >> (bits * pass)) & mask;
+}
+
+ScratchArrays::ScratchArrays(SortSpec& spec, size_t n)
+    : has_ids_(spec.ids != nullptr),
+      keys_(spec.alloc_key_buffer(n)),
+      ids_(has_ids_ ? spec.alloc_id_buffer(n)
+                    : approx::ApproxArrayU32(0, nullptr, Rng(0))) {}
+
+StripeShards::StripeShards(const KeyIdArrays& arrays, size_t stripes)
+    : arrays(arrays), keys(arrays.keys->MakeShards(stripes)) {
+  if (arrays.ids != nullptr) ids = arrays.ids->MakeShards(stripes);
+}
+
+void StripeShards::Merge() {
+  arrays.keys->MergeShards(keys);
+  if (arrays.ids != nullptr) arrays.ids->MergeShards(ids);
+}
+
+StripedPass::StripedPass(const RadixPlan& plan, const KeyIdArrays& a,
+                         const KeyIdArrays& b, ThreadPool* pool)
+    : plan_(plan),
+      stripes_(StripePlan::ForN(a.keys->size())),
+      pool_(pool),
+      with_ids_(a.ids != nullptr),
+      stash_keys_(stripes_.n),
+      stash_ids_(with_ids_ ? stripes_.n : 0),
+      hist_(stripes_.count * plan.buckets),
+      window_(stripes_.count * plan.buckets) {
+  concurrent_ = pool != nullptr && pool->thread_count() > 1 &&
+                stripes_.count > 1;
+  for (const KeyIdArrays& arrays : {a, b}) {
+    concurrent_ = concurrent_ && arrays.keys->ConcurrentShardSafe() &&
+                  (arrays.ids == nullptr || arrays.ids->ConcurrentShardSafe());
+  }
+}
+
+template <typename Fn>
+void StripedPass::ForEachStripe(const Fn& fn) {
+  if (concurrent_) {
+    pool_->ParallelFor(0, stripes_.count, fn);
+  } else {
+    for (size_t s = 0; s < stripes_.count; ++s) fn(s);
+  }
+}
+
+void StripedPass::Scatter(StripeShards& src, StripeShards& dst, int shift) {
+  const uint32_t buckets = plan_.buckets;
+  const uint32_t mask = plan_.mask;
+  const size_t count = stripes_.count;
+  std::fill(hist_.begin(), hist_.end(), 0);
+
+  ForEachStripe([&](size_t s) {
+    size_t* h = hist_.data() + s * buckets;
+    for (size_t i = stripes_.Begin(s), end = stripes_.End(s); i < end; ++i) {
+      const uint32_t key = src.keys[s].Get(i);
+      stash_keys_[i] = key;
+      if (with_ids_) stash_ids_[i] = src.ids[s].Get(i);
+      ++h[(key >> shift) & mask];
+    }
+  });
+
+  size_t total = 0;
+  for (uint32_t b = 0; b < buckets; ++b) {
+    for (size_t s = 0; s < count; ++s) {
+      window_[b * count + s] = total;
+      total += hist_[s * buckets + b];
+    }
+  }
+  APPROXMEM_CHECK(total == stripes_.n);
+
+  ForEachStripe([&](size_t s) {
+    std::vector<size_t> cursor(buckets);
+    for (uint32_t b = 0; b < buckets; ++b) cursor[b] = window_[b * count + s];
+    for (size_t i = stripes_.Begin(s), end = stripes_.End(s); i < end; ++i) {
+      const size_t pos = cursor[(stash_keys_[i] >> shift) & mask]++;
+      dst.keys[s].Set(pos, stash_keys_[i]);
+      if (with_ids_) dst.ids[s].Set(pos, stash_ids_[i]);
+    }
+  });
+}
+
+void StripedPass::Copy(StripeShards& src, StripeShards& dst) {
+  ForEachStripe([&](size_t s) {
+    constexpr size_t kBlock = 64;
+    uint32_t buf[kBlock];
+    for (size_t i = stripes_.Begin(s), end = stripes_.End(s); i < end;) {
+      const size_t m = std::min(kBlock, end - i);
+      src.keys[s].GetRange(i, buf, m);
+      dst.keys[s].SetRange(i, buf, m);
+      if (with_ids_) {
+        src.ids[s].GetRange(i, buf, m);
+        dst.ids[s].SetRange(i, buf, m);
+      }
+      i += m;
+    }
+  });
 }
 
 BucketQueues::BucketQueues(uint32_t num_buckets,

@@ -1,10 +1,10 @@
-// Shared machinery of the radix-sort family: digit plans and queue-bucket
+// Shared machinery of the radix-sort family: digit plans, scratch buffers,
+// the striped counting pass both LSD sorts are built from, and queue-bucket
 // storage (Section 3.1 implements LSD/MSD "using queues as buckets").
 #ifndef APPROXMEM_SORT_RADIX_COMMON_H_
 #define APPROXMEM_SORT_RADIX_COMMON_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "approx/approx_array.h"
@@ -16,6 +16,19 @@ class ThreadPool;
 }
 
 namespace approxmem::sort {
+
+/// Options of every radix sort (queue-bucket and histogram, LSD and MSD).
+struct RadixOptions {
+  /// Digit width in bits; the paper evaluates 3, 4, 5, and 6.
+  int bits = 6;
+  /// Worker pool for the striped LSD passes (null means serial; the MSD
+  /// sorts always run serially). Results never depend on the thread count.
+  ThreadPool* pool = nullptr;
+};
+
+/// Checks the spec (radix sorts need scratch allocators) and the digit
+/// width, which must be in [1, 16].
+Status ValidateRadix(const SortSpec& spec, const RadixOptions& options);
 
 /// Pass layout for a given digit width over 32-bit keys.
 struct RadixPlan {
@@ -53,19 +66,76 @@ struct StripePlan {
   size_t End(size_t stripe) const { return (stripe + 1) * n / count; }
 };
 
-/// Arena words needed by one LSD scatter pass over `n` elements: the
-/// per-(bucket, stripe) windows tile [0, n) exactly, so both the key and
-/// the id arena need exactly n words. (The legacy chunked free-list layout
-/// rounded up to `buckets` extra chunks, and allocated the same slack a
-/// second time for the id arena.)
-size_t LsdArenaCapacity(size_t n);
+/// A key array plus its co-moving ID array (null when IDs are not tracked).
+struct KeyIdArrays {
+  approx::ApproxArrayU32* keys = nullptr;
+  approx::ApproxArrayU32* ids = nullptr;
+};
 
-/// Runs fn(stripe) for stripes [0, count): concurrently on `pool` when
-/// `concurrent_ok` and a multi-thread pool is given, serially in stripe
-/// order otherwise. Callers decompose the work so both schedules give
-/// bit-identical results.
-void RunStripes(ThreadPool* pool, bool concurrent_ok, size_t count,
-                const std::function<void(size_t)>& fn);
+/// An n-word scratch buffer for `spec`: keys from alloc_key_buffer, then
+/// IDs from alloc_id_buffer when the spec tracks IDs.
+class ScratchArrays {
+ public:
+  ScratchArrays(SortSpec& spec, size_t n);
+  KeyIdArrays arrays() { return {&keys_, has_ids_ ? &ids_ : nullptr}; }
+
+ private:
+  bool has_ids_;
+  approx::ApproxArrayU32 keys_;
+  approx::ApproxArrayU32 ids_;
+};
+
+/// One pass's per-stripe shards of a KeyIdArrays. Construction splits one
+/// RNG substream per stripe off each array in stripe order; Merge folds
+/// the ledgers back in stripe order.
+struct StripeShards {
+  StripeShards(const KeyIdArrays& arrays, size_t stripes);
+  void Merge();
+
+  KeyIdArrays arrays;
+  std::vector<approx::ApproxArrayU32::Shard> keys;
+  std::vector<approx::ApproxArrayU32::Shard> ids;  // Empty without IDs.
+};
+
+/// The striped counting pass both LSD sorts are made of. Buffers `a` and
+/// `b` are the two the sort moves elements between; stripes run on `pool`
+/// only when every array allows concurrent shards, and serially in stripe
+/// order otherwise, with bit-identical results either way. The stash,
+/// histograms, and windows live in DRAM: they are queue metadata (pointers
+/// in a real implementation), not simulated accesses.
+class StripedPass {
+ public:
+  StripedPass(const RadixPlan& plan, const KeyIdArrays& a,
+              const KeyIdArrays& b, ThreadPool* pool);
+
+  size_t stripes() const { return stripes_.count; }
+
+  /// Moves src to dst, stable by the digit at `shift`. Each stripe reads
+  /// its slice of src once, stashing the observed values and counting
+  /// digits (so a corrupted read fixes the digit once); a serial
+  /// bucket-major prefix sum lays out disjoint per-(bucket, stripe)
+  /// windows in the serial queue order; then each stripe writes its
+  /// elements once, straight into its windows of dst.
+  void Scatter(StripeShards& src, StripeShards& dst, int shift);
+
+  /// Copies src to dst in contiguous 64-word blocks per stripe: one read
+  /// and one write per element, corrupted values propagating as stored.
+  void Copy(StripeShards& src, StripeShards& dst);
+
+ private:
+  template <typename Fn>
+  void ForEachStripe(const Fn& fn);
+
+  RadixPlan plan_;
+  StripePlan stripes_;
+  ThreadPool* pool_;
+  bool concurrent_;
+  bool with_ids_;
+  std::vector<uint32_t> stash_keys_;
+  std::vector<uint32_t> stash_ids_;
+  std::vector<size_t> hist_;    // Stripe-major: hist_[s * buckets + b].
+  std::vector<size_t> window_;  // Bucket-major: window_[b * stripes + s].
+};
 
 /// Queue-bucket storage backed by instrumented scratch arrays.
 ///

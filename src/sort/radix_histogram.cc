@@ -1,24 +1,17 @@
 #include "sort/radix_histogram.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
-#include "common/thread_pool.h"
 #include "sort/quicksort.h"
 #include "sort/radix_common.h"
 
 namespace approxmem::sort {
 namespace {
 
-struct Buffers {
-  approx::ApproxArrayU32* keys;
-  approx::ApproxArrayU32* ids;  // Null when ids are not tracked.
-};
-
 // Copies [lo, hi) from src to dst (read + write per element).
-void CopyRange(const Buffers& src, const Buffers& dst, size_t lo, size_t hi) {
+void CopyRange(const KeyIdArrays& src, const KeyIdArrays& dst, size_t lo,
+               size_t hi) {
   for (size_t i = lo; i < hi; ++i) {
     dst.keys->Set(i, src.keys->Get(i));
     if (src.ids != nullptr) dst.ids->Set(i, src.ids->Get(i));
@@ -26,7 +19,7 @@ void CopyRange(const Buffers& src, const Buffers& dst, size_t lo, size_t hi) {
 }
 
 // Counts digit occurrences of src[lo, hi) at `shift` (reads only).
-std::vector<size_t> CountDigits(const Buffers& src, size_t lo, size_t hi,
+std::vector<size_t> CountDigits(const KeyIdArrays& src, size_t lo, size_t hi,
                                 int shift, const RadixPlan& plan) {
   std::vector<size_t> counts(plan.buckets, 0);
   for (size_t i = lo; i < hi; ++i) {
@@ -47,8 +40,8 @@ std::vector<size_t> CountDigits(const Buffers& src, size_t lo, size_t hi,
 // left unclaimed at the end of the pass, so the scatter is a permutation
 // of [lo, hi) under any corruption. Fault-free passes never divert, and
 // read/write counts are identical either way.
-void Scatter(const Buffers& src, const Buffers& dst, size_t lo, size_t hi,
-             int shift, const RadixPlan& plan,
+void Scatter(const KeyIdArrays& src, const KeyIdArrays& dst, size_t lo,
+             size_t hi, int shift, const RadixPlan& plan,
              const std::vector<size_t>& counts,
              std::vector<size_t>* bucket_starts) {
   std::vector<size_t> cursor(plan.buckets);
@@ -84,153 +77,50 @@ void Scatter(const Buffers& src, const Buffers& dst, size_t lo, size_t hi,
 
 }  // namespace
 
-Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
-  Status status = ValidateSpec(spec, /*needs_buffers=*/true);
+Status LsdHistogramSort(SortSpec& spec, const RadixOptions& options) {
+  Status status = ValidateRadix(spec, options);
   if (!status.ok()) return status;
-  if (options.bits < 1 || options.bits > 16) {
-    return Status::InvalidArgument("radix bits must be in [1, 16]");
-  }
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
   const RadixPlan plan = RadixPlan::ForBits(options.bits);
-  const StripePlan stripes = StripePlan::ForN(n);
-  const size_t num_stripes = stripes.count;
-  const uint32_t buckets = plan.buckets;
-  const bool with_ids = spec.ids != nullptr;
+  const KeyIdArrays primary{spec.keys, spec.ids};
+  ScratchArrays scratch(spec, n);
+  StripedPass striped(plan, primary, scratch.arrays(), options.pool);
 
-  approx::ApproxArrayU32 scratch_keys = spec.alloc_key_buffer(n);
-  approx::ApproxArrayU32 scratch_ids_storage =
-      with_ids ? spec.alloc_id_buffer(n)
-               : approx::ApproxArrayU32(0, nullptr, Rng(0));
-  Buffers primary{spec.keys, spec.ids};
-  Buffers scratch{&scratch_keys, with_ids ? &scratch_ids_storage : nullptr};
-
-  ThreadPool* pool = options.pool;
-  const bool concurrent =
-      pool != nullptr && pool->thread_count() > 1 && num_stripes > 1 &&
-      spec.keys->ConcurrentShardSafe() && scratch_keys.ConcurrentShardSafe() &&
-      (!with_ids || (spec.ids->ConcurrentShardSafe() &&
-                     scratch_ids_storage.ConcurrentShardSafe()));
-
-  // DRAM-side stash, histograms, and windows (histogram bookkeeping, not
-  // simulated accesses).
-  std::vector<uint32_t> stash_keys(n);
-  std::vector<uint32_t> stash_ids(with_ids ? n : 0);
-  std::vector<size_t> hist(num_stripes * buckets);
-  std::vector<size_t> window(num_stripes * buckets);
-
-  Buffers src = primary;
-  Buffers dst = scratch;
+  KeyIdArrays src = primary;
+  KeyIdArrays dst = scratch.arrays();
   for (int pass = 0; pass < plan.passes; ++pass) {
-    const int shift = plan.bits * pass;
-    std::fill(hist.begin(), hist.end(), 0);
-
-    auto src_key_shards = src.keys->MakeShards(num_stripes);
-    auto dst_key_shards = dst.keys->MakeShards(num_stripes);
-    auto src_id_shards = with_ids
-                             ? src.ids->MakeShards(num_stripes)
-                             : std::vector<approx::ApproxArrayU32::Shard>{};
-    auto dst_id_shards = with_ids
-                             ? dst.ids->MakeShards(num_stripes)
-                             : std::vector<approx::ApproxArrayU32::Shard>{};
-
-    // Count + stash: one read per array element; the digit used below is
-    // fixed by this read, so the scatter cannot diverge from the counts.
-    RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
-      size_t* h = hist.data() + s * buckets;
-      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
-        const uint32_t key = src_key_shards[s].Get(i);
-        stash_keys[i] = key;
-        if (with_ids) stash_ids[i] = src_id_shards[s].Get(i);
-        ++h[(key >> shift) & plan.mask];
-      }
-    });
-
-    // Bucket-major prefix sum into disjoint per-(bucket, stripe) windows.
-    size_t total = 0;
-    for (uint32_t b = 0; b < buckets; ++b) {
-      for (size_t s = 0; s < num_stripes; ++s) {
-        window[b * num_stripes + s] = total;
-        total += hist[s * buckets + b];
-      }
-    }
-    APPROXMEM_CHECK(total == n);
-
-    // Scatter straight to the final slot: exactly one write per element.
-    RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
-      std::vector<size_t> cursors(buckets);
-      for (uint32_t b = 0; b < buckets; ++b) {
-        cursors[b] = window[b * num_stripes + s];
-      }
-      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
-        const uint32_t digit = (stash_keys[i] >> shift) & plan.mask;
-        const size_t pos = cursors[digit]++;
-        dst_key_shards[s].Set(pos, stash_keys[i]);
-        if (with_ids) dst_id_shards[s].Set(pos, stash_ids[i]);
-      }
-    });
-
-    src.keys->MergeShards(src_key_shards);
-    dst.keys->MergeShards(dst_key_shards);
-    if (with_ids) {
-      src.ids->MergeShards(src_id_shards);
-      dst.ids->MergeShards(dst_id_shards);
-    }
+    StripeShards from(src, striped.stripes());
+    StripeShards to(dst, striped.stripes());
+    // Straight to the final slot: exactly one write per element.
+    striped.Scatter(from, to, plan.bits * pass);
+    from.Merge();
+    to.Merge();
     std::swap(src, dst);
   }
 
   if (src.keys != primary.keys) {
-    // Odd pass count: parity copy back, contiguous blocks per stripe.
-    auto src_key_shards = src.keys->MakeShards(num_stripes);
-    auto dst_key_shards = primary.keys->MakeShards(num_stripes);
-    auto src_id_shards = with_ids
-                             ? src.ids->MakeShards(num_stripes)
-                             : std::vector<approx::ApproxArrayU32::Shard>{};
-    auto dst_id_shards = with_ids
-                             ? primary.ids->MakeShards(num_stripes)
-                             : std::vector<approx::ApproxArrayU32::Shard>{};
-    RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
-      constexpr size_t kBlock = 64;
-      uint32_t buf[kBlock];
-      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end;) {
-        const size_t m = std::min(kBlock, end - i);
-        src_key_shards[s].GetRange(i, buf, m);
-        dst_key_shards[s].SetRange(i, buf, m);
-        if (with_ids) {
-          src_id_shards[s].GetRange(i, buf, m);
-          dst_id_shards[s].SetRange(i, buf, m);
-        }
-        i += m;
-      }
-    });
-    src.keys->MergeShards(src_key_shards);
-    primary.keys->MergeShards(dst_key_shards);
-    if (with_ids) {
-      src.ids->MergeShards(src_id_shards);
-      primary.ids->MergeShards(dst_id_shards);
-    }
+    // Odd pass count: parity copy back.
+    StripeShards from(src, striped.stripes());
+    StripeShards to(primary, striped.stripes());
+    striped.Copy(from, to);
+    from.Merge();
+    to.Merge();
   }
   return Status::Ok();
 }
 
-Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
-  Status status = ValidateSpec(spec, /*needs_buffers=*/true);
+Status MsdHistogramSort(SortSpec& spec, const RadixOptions& options) {
+  Status status = ValidateRadix(spec, options);
   if (!status.ok()) return status;
-  if (options.bits < 1 || options.bits > 16) {
-    return Status::InvalidArgument("radix bits must be in [1, 16]");
-  }
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
   const RadixPlan plan = RadixPlan::ForBits(options.bits);
-  approx::ApproxArrayU32 scratch_keys = spec.alloc_key_buffer(n);
-  approx::ApproxArrayU32 scratch_ids_storage =
-      spec.ids != nullptr ? spec.alloc_id_buffer(n)
-                          : approx::ApproxArrayU32(0, nullptr, Rng(0));
-  Buffers primary{spec.keys, spec.ids};
-  Buffers scratch{&scratch_keys,
-                  spec.ids != nullptr ? &scratch_ids_storage : nullptr};
+  ScratchArrays scratch_arrays(spec, n);
+  const KeyIdArrays primary{spec.keys, spec.ids};
+  const KeyIdArrays scratch = scratch_arrays.arrays();
 
   struct Segment {
     size_t lo;
@@ -246,8 +136,8 @@ Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
     stack.pop_back();
     const size_t len = seg.hi - seg.lo;
     if (len == 0) continue;
-    const Buffers src = seg.in_primary ? primary : scratch;
-    const Buffers dst = seg.in_primary ? scratch : primary;
+    const KeyIdArrays src = seg.in_primary ? primary : scratch;
+    const KeyIdArrays dst = seg.in_primary ? scratch : primary;
 
     if (len < 2 || len <= kMsdInsertionCutoff || seg.shift < 0) {
       // Leaf: make sure the data is back in the primary buffer, then finish

@@ -13,31 +13,22 @@
 #define APPROXMEM_SORT_RADIX_HISTOGRAM_H_
 
 #include "common/status.h"
+#include "sort/radix_common.h"
 #include "sort/sort_common.h"
-
-namespace approxmem {
-class ThreadPool;
-}
 
 namespace approxmem::sort {
 
-struct HistogramRadixOptions {
-  int bits = 6;
-  /// LSD only: worker pool for the striped counting/scatter passes (null
-  /// means serial). Results never depend on the thread count.
-  ThreadPool* pool = nullptr;
-};
-
-/// Histogram-based LSD radix sort: ceil(32/bits) stable counting passes,
-/// ping-ponging between the input and one scratch buffer. Each pass reads
-/// every element once (counting digits and stashing the observed value in
-/// DRAM) and writes it once, straight to its final slot in the other
-/// buffer.
-Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options);
+/// Histogram-based LSD radix sort: ceil(32/bits) stable counting passes
+/// (the striped pass of radix_common.h), ping-ponging between the input
+/// and one scratch buffer. Each pass reads every element once (counting
+/// digits and stashing the observed value in DRAM) and writes it once,
+/// straight to its final slot in the other buffer; an odd pass count ends
+/// with a parity copy back.
+Status LsdHistogramSort(SortSpec& spec, const RadixOptions& options);
 
 /// Histogram-based MSD radix sort: recursive counting partition, scattering
-/// between buffers per level, with a parity copy at the leaves.
-Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options);
+/// between buffers per level, with a parity copy at the leaves. Serial.
+Status MsdHistogramSort(SortSpec& spec, const RadixOptions& options);
 
 }  // namespace approxmem::sort
 

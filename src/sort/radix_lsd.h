@@ -1,60 +1,26 @@
 // Least-significant-digit radix sort with queue buckets (Section 3.1).
 //
-// The implementation is a striped counting scatter: each pass reads the
-// input once per stripe (building per-stripe digit histograms), prefix-sums
-// the histograms into disjoint per-(bucket, stripe) output windows, and
-// scatters through them. The stripe plan depends on n alone, and every
-// stripe draws from its own RNG substream, so output, write counts, and
-// cost ledgers are identical at any thread count. Simulated access counts
-// match the classic queue formulation: two reads and two writes per
-// element per pass.
+// Each pass is the striped counting pass of radix_common.h: every element
+// moves into its bucket window of an n-word arena (one write) and is then
+// copied back in order (one write), so simulated access counts match the
+// classic queue formulation: two reads and two writes per element per
+// pass. The stripe plan depends on n alone, and every stripe draws from its
+// own RNG substream, so output, write counts, and cost ledgers are
+// identical at any thread count.
 #ifndef APPROXMEM_SORT_RADIX_LSD_H_
 #define APPROXMEM_SORT_RADIX_LSD_H_
 
-#include <cstddef>
-
 #include "common/status.h"
+#include "sort/radix_common.h"
 #include "sort/sort_common.h"
 
-namespace approxmem {
-class ThreadPool;
-}
-
 namespace approxmem::sort {
-
-/// Scratch-arena strategy for the LSD scatter passes.
-enum class LsdArenaMode {
-  /// n-word arena: scatter into it, then drain contiguously back.
-  kFullBuffer,
-  /// Radsort-style recycled chunks: each stripe pushes ceil(sqrt(stripe))
-  /// elements at a time through a small arena region and emits straight
-  /// into the destination windows. Identical simulated access counts with
-  /// O(sqrt n) scratch words.
-  kSqrtChunks,
-};
-
-struct LsdRadixOptions {
-  /// Digit width in bits; the paper evaluates 3, 4, 5, and 6.
-  int bits = 6;
-  /// Section 3.1's software write combining: stage bucket scatters in DRAM
-  /// and flush to the target windows in sequential chunks. Same write
-  /// count, sequential pattern — pays off under the sequential-write
-  /// discount.
-  bool write_combining = false;
-  /// Staging-buffer size when write combining is on.
-  size_t combine_chunk_elements = 64;
-  /// Scratch-arena strategy (see LsdArenaMode).
-  LsdArenaMode arena_mode = LsdArenaMode::kFullBuffer;
-  /// Worker pool for the striped passes; null means serial. Results never
-  /// depend on the thread count.
-  ThreadPool* pool = nullptr;
-};
 
 /// Sorts spec.keys (and spec.ids) ascending by key. ceil(32/bits) stable
 /// passes from the least significant digit; each pass moves every element
 /// into its bucket window (one write) and back (one write). Requires
 /// spec.alloc_key_buffer (and alloc_id_buffer when ids are set).
-Status LsdRadixSort(SortSpec& spec, const LsdRadixOptions& options);
+Status LsdRadixSort(SortSpec& spec, const RadixOptions& options);
 
 }  // namespace approxmem::sort
 

@@ -17,22 +17,15 @@ struct Segment {
 
 }  // namespace
 
-Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
-  Status status = ValidateSpec(spec, /*needs_buffers=*/true);
+Status MsdRadixSort(SortSpec& spec, const RadixOptions& options) {
+  Status status = ValidateRadix(spec, options);
   if (!status.ok()) return status;
-  if (options.bits < 1 || options.bits > 16) {
-    return Status::InvalidArgument("MSD radix bits must be in [1, 16]");
-  }
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
   const RadixPlan plan = RadixPlan::ForBits(options.bits);
-  approx::ApproxArrayU32 key_arena = spec.alloc_key_buffer(n);
-  approx::ApproxArrayU32 id_arena_storage =
-      spec.ids != nullptr ? spec.alloc_id_buffer(n)
-                          : approx::ApproxArrayU32(0, nullptr, Rng(0));
-  approx::ApproxArrayU32* id_arena =
-      spec.ids != nullptr ? &id_arena_storage : nullptr;
+  ScratchArrays scratch(spec, n);
+  const KeyIdArrays arena = scratch.arrays();
 
   std::vector<Segment> stack;
   stack.push_back(Segment{0, n, plan.TopShift()});
@@ -49,7 +42,7 @@ Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
 
     // Partition [lo, hi) by the digit at seg.shift through bucket queues
     // backed by the arena region [lo, hi).
-    BucketQueues queues(plan.buckets, &key_arena, id_arena, seg.lo);
+    BucketQueues queues(plan.buckets, arena.keys, arena.ids, seg.lo);
     for (size_t i = seg.lo; i < seg.hi; ++i) {
       const uint32_t key = spec.keys->Get(i);
       const uint32_t id = spec.ids != nullptr ? spec.ids->Get(i) : 0;

@@ -3,21 +3,17 @@
 #define APPROXMEM_SORT_RADIX_MSD_H_
 
 #include "common/status.h"
+#include "sort/radix_common.h"
 #include "sort/sort_common.h"
 
 namespace approxmem::sort {
-
-struct MsdRadixOptions {
-  /// Digit width in bits; the paper evaluates 3, 4, 5, and 6.
-  int bits = 6;
-};
 
 /// Sorts spec.keys (and spec.ids) ascending by key. Recursively partitions
 /// from the most significant digit using bucket queues; like quicksort,
 /// later levels touch ever-smaller ranges, which localizes the damage of
 /// earlier corrupted writes (Section 3.5). Requires spec.alloc_key_buffer
-/// (and alloc_id_buffer when ids are set).
-Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options);
+/// (and alloc_id_buffer when ids are set). Serial.
+Status MsdRadixSort(SortSpec& spec, const RadixOptions& options);
 
 }  // namespace approxmem::sort
 

@@ -33,9 +33,6 @@ using ArrayAlloc = std::function<approx::ApproxArrayU32(size_t)>;
 struct SortTuning {
   /// Worker pool for the intra-sort parallel passes (null means serial).
   ThreadPool* pool = nullptr;
-  /// Use the Radsort-style O(sqrt n) recycled chunk arena for LSD radix
-  /// (identical simulated access counts; smaller scratch footprint).
-  bool lsd_sqrt_arena = false;
 };
 
 /// The arrays an algorithm sorts plus where its scratch may live.
@@ -72,6 +69,11 @@ struct AlgorithmId {
   /// Display name matching the paper's labels ("6-bit LSD", "Quicksort").
   std::string Name() const;
 };
+
+/// Parses a command-line algorithm name: exactly "quicksort", "mergesort",
+/// or one of "lsd", "msd", "hlsd", "hmsd" followed by one digit-width digit
+/// from 1 to 9 ("lsd6", "hmsd3"). Anything else is InvalidArgument.
+StatusOr<AlgorithmId> ParseAlgorithmId(const std::string& name);
 
 /// All algorithm instances of the Section 3/5 study (radix at 3..6 bits).
 std::vector<AlgorithmId> StudyAlgorithms();

@@ -69,7 +69,6 @@ OracleCase MakeRandomCase(const RunnerOptions& options, uint64_t index) {
   oracle_case.shape = shapes[rng.UniformInt(shapes.size())];
   oracle_case.sort_threads =
       kSortThreadPool[rng.UniformInt(std::size(kSortThreadPool))];
-  oracle_case.lsd_sqrt_arena = rng.UniformInt(2) == 1;
   return oracle_case;
 }
 

@@ -74,15 +74,6 @@ TEST(StripePlanTest, SmallInputsStaySerial) {
   EXPECT_EQ(StripePlan::ForN(4 * StripePlan::kMinStripeElements).count, 4u);
 }
 
-TEST(LsdArenaCapacityTest, ArenaIsExactlyN) {
-  // The scatter windows tile [0, n) exactly; the pre-stripe implementation
-  // rounded every bucket up to a chunk multiple, overallocating the arena
-  // (doubly so with IDs). Pin the exact sizing.
-  for (const size_t n : {0u, 1u, 63u, 64u, 1000u, 4096u, 123456u}) {
-    EXPECT_EQ(LsdArenaCapacity(n), n);
-  }
-}
-
 class BucketQueuesTest : public ::testing::Test {
  protected:
   BucketQueuesTest() : memory_(MakeOptions()) {}
@@ -160,6 +151,19 @@ TEST_F(BucketQueuesTest, ResetReusesArena) {
   queues.DrainTo(out, nullptr, 0);
   EXPECT_EQ(out.PeekActual(0), 4u);
   EXPECT_EQ(out.PeekActual(1), 3u);
+}
+
+TEST_F(BucketQueuesTest, PlainQueuesOnRandomBucketsAreNotSequential) {
+  approx::ApproxArrayU32 arena = memory_.NewPreciseArray(64);
+  BucketQueues queues(4, &arena, nullptr);
+  Rng rng(2);
+  for (int i = 0; i < 64; ++i) {
+    queues.Push(static_cast<uint32_t>(rng.UniformInt(4)), rng.NextU32(), 0);
+  }
+  // The bump arena writes every slot in order, so pushes alone are fully
+  // sequential whatever the bucket sequence; the scattered pattern appears
+  // only when the buckets are drained.
+  EXPECT_EQ(arena.stats().sequential_writes, 63u);
 }
 
 TEST_F(BucketQueuesTest, ArenaBaseOffsetsSegments) {

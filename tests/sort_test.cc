@@ -150,7 +150,7 @@ TEST_F(SortFixture, RadixRejectsBadBitWidths) {
   spec.alloc_key_buffer = [this](size_t n) {
     return memory_.NewPreciseArray(n);
   };
-  LsdRadixOptions options;
+  RadixOptions options;
   options.bits = 0;
   EXPECT_FALSE(LsdRadixSort(spec, options).ok());
   options.bits = 17;
@@ -164,6 +164,27 @@ TEST_F(SortFixture, AlgorithmNamesMatchPaperLabels) {
   EXPECT_EQ((AlgorithmId{SortKind::kMsdRadix, 6}).Name(), "6-bit MSD");
   EXPECT_EQ((AlgorithmId{SortKind::kLsdHistogram, 4}).Name(),
             "4-bit hist-LSD");
+}
+
+TEST(ParseAlgorithmIdTest, AcceptsExactlyTheListedNames) {
+  EXPECT_EQ(ParseAlgorithmId("quicksort")->kind, SortKind::kQuicksort);
+  EXPECT_EQ(ParseAlgorithmId("mergesort")->kind, SortKind::kMergesort);
+  const auto lsd = ParseAlgorithmId("lsd3");
+  ASSERT_TRUE(lsd.ok());
+  EXPECT_EQ(lsd->kind, SortKind::kLsdRadix);
+  EXPECT_EQ(lsd->radix_bits, 3);
+  EXPECT_EQ(ParseAlgorithmId("msd9")->kind, SortKind::kMsdRadix);
+  EXPECT_EQ(ParseAlgorithmId("hlsd1")->kind, SortKind::kLsdHistogram);
+  const auto hmsd = ParseAlgorithmId("hmsd6");
+  ASSERT_TRUE(hmsd.ok());
+  EXPECT_EQ(hmsd->kind, SortKind::kMsdHistogram);
+  EXPECT_EQ(hmsd->radix_bits, 6);
+  // Trailing-digit lookalikes used to parse as their last digit.
+  for (const char* bad : {"lsd13", "lsdx3", "lsd0", "lsd", "hlsd", "msd33",
+                          "xlsd3", "lsd3 ", "Quicksort", "quicksort1", "",
+                          "hmsdd3", "lsd-3"}) {
+    EXPECT_FALSE(ParseAlgorithmId(bad).ok()) << '"' << bad << '"';
+  }
 }
 
 TEST_F(SortFixture, WriteCountsTrackAlphaModel) {

@@ -102,8 +102,7 @@ constexpr char kUsage[] =
     "        --workload=uniform|skewed|nearly_sorted|reversed|all_equal\n"
     "        --exact --sort_threads=K (intra-sort workers for the striped\n"
     "        radix passes; 1 = serial, <=0 = hardware; results identical\n"
-    "        at every K) --lsd_sqrt_arena (Radsort-style O(sqrt n) LSD\n"
-    "        scratch)\n"
+    "        at every K)\n"
     "algorithms: quicksort mergesort lsd3..lsd6 msd3..msd6 hlsd3..6 "
     "hmsd3..6\n";
 
@@ -113,27 +112,6 @@ std::string FmtKnob(double knob) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.4g", knob);
   return buffer;
-}
-
-StatusOr<sort::AlgorithmId> ParseAlgorithm(const std::string& name) {
-  using sort::AlgorithmId;
-  using sort::SortKind;
-  if (name == "quicksort") return AlgorithmId{SortKind::kQuicksort, 0};
-  if (name == "mergesort") return AlgorithmId{SortKind::kMergesort, 0};
-  if (name.size() >= 4) {
-    const int bits = name.back() - '0';
-    if (bits >= 1 && bits <= 9) {
-      if (name.rfind("lsd", 0) == 0) return AlgorithmId{SortKind::kLsdRadix, bits};
-      if (name.rfind("msd", 0) == 0) return AlgorithmId{SortKind::kMsdRadix, bits};
-      if (name.rfind("hlsd", 0) == 0) {
-        return AlgorithmId{SortKind::kLsdHistogram, bits};
-      }
-      if (name.rfind("hmsd", 0) == 0) {
-        return AlgorithmId{SortKind::kMsdHistogram, bits};
-      }
-    }
-  }
-  return Status::InvalidArgument("unknown algorithm: " + name);
 }
 
 int Calibrate(core::ApproxSortEngine& engine, const Flags& flags) {
@@ -349,7 +327,6 @@ testing::OracleReport RunResilientFuzzCase(
   engine_options.shared_calibration = cache;
   engine_options.health.enabled = true;
   engine_options.sort_threads = oracle_case.sort_threads;
-  engine_options.lsd_sqrt_arena = oracle_case.lsd_sqrt_arena;
   std::unique_ptr<testing::FaultInjector> injector;
   if (inject) {
     injector = std::make_unique<testing::FaultInjector>(
@@ -936,12 +913,12 @@ int Main(int argc, char** argv) {
     options.mode = approx::SimulationMode::kExact;
   }
   options.sort_threads = static_cast<int>(flags->GetInt("sort_threads", 1));
-  options.lsd_sqrt_arena = flags->GetBool("lsd_sqrt_arena", false);
   core::ApproxSortEngine engine(options);
 
   if (cmd == "calibrate") return Calibrate(engine, *flags);
 
-  const auto algorithm = ParseAlgorithm(flags->GetString("algo", "lsd3"));
+  const auto algorithm =
+      sort::ParseAlgorithmId(flags->GetString("algo", "lsd3"));
   if (!algorithm.ok()) {
     std::fprintf(stderr, "%s\n%s", algorithm.status().ToString().c_str(),
                  kUsage);
