@@ -240,12 +240,14 @@ double TimeStripedSort(int threads, size_t n) {
 // (the model's single-word Write kernel) vs. the SetRange span (its block
 // WriteBatch kernel). Both kernels run at about the same speed, so the
 // batched_over_scalar ratio guards that SetRange stays no slower than a
-// Set loop. The ratio sits close to its gate, so each side is the median
-// of nine runs, and the two sides alternate so that a change in host load
-// hits both alike.
+// Set loop. The ratio sits close to its gate, so the two sides alternate
+// over nine runs and the ratio is the median of the nine per-run ratios:
+// each pair is timed back to back, so host-speed drift between runs
+// cancels in it.
 struct WriteSeconds {
-  double scalar;
-  double batched;
+  double scalar;   // Median seconds of the scalar Set loop.
+  double batched;  // Median seconds of one SetRange call.
+  double batched_over_scalar;  // Median of the per-run scalar/batched.
 };
 
 WriteSeconds TimeApproxWrites(size_t n) {
@@ -255,6 +257,7 @@ WriteSeconds TimeApproxWrites(size_t n) {
   approx::ApproxMemory memory(options);
   const auto keys = core::MakeKeys(core::WorkloadKind::kUniform, n, 11);
   std::vector<double> samples[2];  // [0] scalar, [1] batched.
+  std::vector<double> ratios;
   for (int run = 0; run < kRuns; ++run) {
     for (const bool batched : {false, true}) {
       approx::ApproxArrayU32 array = memory.NewApproxArray(n, 0.055);
@@ -266,9 +269,11 @@ WriteSeconds TimeApproxWrites(size_t n) {
       }
       samples[batched].push_back(SecondsSince(start));
     }
+    ratios.push_back(samples[0].back() / samples[1].back());
   }
   for (auto& side : samples) std::sort(side.begin(), side.end());
-  return {samples[0][kRuns / 2], samples[1][kRuns / 2]};
+  std::sort(ratios.begin(), ratios.end());
+  return {samples[0][kRuns / 2], samples[1][kRuns / 2], ratios[kRuns / 2]};
 }
 
 void WritePerfSnapshotArtifact() {
@@ -310,13 +315,13 @@ void WritePerfSnapshotArtifact() {
       serial / two, serial / four, serial / eight, kWriteN,
       static_cast<double>(kWriteN) / scalar_writes / 1e6,
       static_cast<double>(kWriteN) / batched_writes / 1e6,
-      scalar_writes / batched_writes);
+      writes.batched_over_scalar);
   std::fclose(f);
   std::printf(
       "perf_snapshot: sort speedup 2t %.2fx, 4t %.2fx, 8t %.2fx; batched "
       "writes %.2fx scalar -> bench_artifacts/perf_snapshot.json\n",
       serial / two, serial / four, serial / eight,
-      scalar_writes / batched_writes);
+      writes.batched_over_scalar);
 }
 
 }  // namespace

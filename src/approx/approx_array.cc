@@ -5,14 +5,13 @@
 namespace approxmem::approx {
 
 ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
-                               mem::TraceBuffer* trace, uint64_t base_address,
+                               uint64_t base_address,
                                double sequential_write_discount,
                                MemoryFaultHook* fault_hook)
     : actual_(n, 0),
       intended_(n, 0),
       model_(model),
       rng_(rng),
-      trace_(trace),
       fault_hook_(fault_hook),
       base_address_(base_address),
       read_cost_(model != nullptr ? model->ReadCost() : 0.0),
@@ -31,7 +30,6 @@ ApproxArrayU32::ApproxArrayU32(ApproxArrayU32&& other) noexcept
       intended_(std::move(other.intended_)),
       model_(other.model_),
       rng_(other.rng_),
-      trace_(other.trace_),
       fault_hook_(other.fault_hook_),
       base_address_(other.base_address_),
       read_cost_(other.read_cost_),
@@ -53,7 +51,6 @@ ApproxArrayU32& ApproxArrayU32::operator=(ApproxArrayU32&& other) noexcept {
     intended_ = std::move(other.intended_);
     model_ = other.model_;
     rng_ = other.rng_;
-    trace_ = other.trace_;
     fault_hook_ = other.fault_hook_;
     base_address_ = other.base_address_;
     read_cost_ = other.read_cost_;
@@ -74,7 +71,7 @@ void ApproxArrayU32::SetRangeImpl(size_t start, const uint32_t* values,
                                   size_t& last_written) {
   APPROXMEM_CHECK(start + count <= actual_.size());
   if (address_sensitive_) {
-    // Banked/trace-driven models need the address per word; no batch path.
+    // The banked model needs the address per word; no batch path.
     for (size_t k = 0; k < count; ++k) {
       SetImpl(start + k, values[k], rng, stats, last_written);
     }

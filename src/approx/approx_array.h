@@ -16,7 +16,6 @@
 #include "approx/write_model.h"
 #include "common/check.h"
 #include "common/random.h"
-#include "mem/trace.h"
 
 namespace approxmem::approx {
 
@@ -27,15 +26,16 @@ namespace approxmem::approx {
 /// arrays. Move-only.
 class ApproxArrayU32 {
  public:
-  /// `trace` may be null; when set, every access appends a MemEvent with
-  /// addresses starting at `base_address`. `sequential_write_discount`
-  /// scales the cost of a write that lands at (last written index + 1) —
-  /// the sequential-vs-random PCM write asymmetry the paper's Section 5
-  /// discussion calls for (1.0 disables it).
+  /// Word i lives at byte address `base_address` + 4i, the address the
+  /// fault hook and address-sensitive models see.
+  /// `sequential_write_discount` scales the cost of a write that lands at
+  /// (last written index + 1) — the sequential-vs-random PCM write
+  /// asymmetry the paper's Section 5 discussion calls for (1.0 disables
+  /// it).
   /// `fault_hook`, when set, observes and may perturb every access (see
   /// fault_hook.h); null means fault-free operation.
   ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
-                 mem::TraceBuffer* trace = nullptr, uint64_t base_address = 0,
+                 uint64_t base_address = 0,
                  double sequential_write_discount = 1.0,
                  MemoryFaultHook* fault_hook = nullptr);
   ~ApproxArrayU32();
@@ -105,11 +105,11 @@ class ApproxArrayU32 {
   };
 
   /// True when shards of this array may execute on different threads at the
-  /// same time: no fault hook (shared mutable state), no trace buffer
-  /// (ordered append), and a stateless flat-cost write model. When false,
-  /// callers must drive the same shard plan serially, in shard order.
+  /// same time: no fault hook (shared mutable state) and a stateless
+  /// flat-cost write model. When false, callers must drive the same shard
+  /// plan serially, in shard order.
   bool ConcurrentShardSafe() const {
-    return fault_hook_ == nullptr && trace_ == nullptr && !address_sensitive_;
+    return fault_hook_ == nullptr && !address_sensitive_;
   }
 
   /// Creates `count` shards, splitting one RNG substream per shard off this
@@ -166,7 +166,6 @@ class ApproxArrayU32 {
     stats.read_cost += address_sensitive_
                            ? model_->ReadCostAt(base_address_ + i * 4u)
                            : read_cost_;
-    if (trace_ != nullptr) trace_->AppendRead(base_address_ + i * 4u);
     uint32_t value = actual_[i];
     if (fault_hook_ != nullptr) {
       value = fault_hook_->OnRead(base_address_ + i * 4u, precise_, value);
@@ -206,7 +205,6 @@ class ApproxArrayU32 {
     }
     last_written = i;
     if (stored != value) ++stats.corrupted_writes;
-    if (trace_ != nullptr) trace_->AppendWrite(base_address_ + i * 4u);
   }
 
   void SetRangeImpl(size_t start, const uint32_t* values, size_t count,
@@ -216,7 +214,6 @@ class ApproxArrayU32 {
   std::vector<uint32_t> intended_;
   WriteModel* model_;
   Rng rng_;
-  mem::TraceBuffer* trace_;
   MemoryFaultHook* fault_hook_;
   uint64_t base_address_;
   double read_cost_;
@@ -226,8 +223,8 @@ class ApproxArrayU32 {
   // virtual call per access.
   bool precise_;
   // Cached model_->AddressSensitive(); when set, every access goes through
-  // the model's *At overloads (banked/trace-driven cost sources) instead of
-  // the flat cached-cost fast path.
+  // the model's *At overloads (the banked memory system) instead of the
+  // flat cached-cost fast path.
   bool address_sensitive_;
   // Index of the most recent write; SIZE_MAX means "none yet", so the very
   // first write is never treated as sequential.

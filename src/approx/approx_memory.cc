@@ -63,7 +63,7 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
     return base;
   };
   const auto make_array = [&](uint64_t base) {
-    return ApproxArrayU32(n, model, rng_.Split(), options_.trace, base,
+    return ApproxArrayU32(n, model, rng_.Split(), base,
                           options_.sequential_write_discount,
                           options_.fault_hook);
   };
@@ -79,10 +79,10 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
   for (int attempt = 0;; ++attempt) {
     const uint64_t base = place();
     health_.RecordRegionProbed();
-    ApproxArrayU32 head(kCanaryWords, model, rng_.Split(), /*trace=*/nullptr,
-                        base, options_.sequential_write_discount,
+    ApproxArrayU32 head(kCanaryWords, model, rng_.Split(), base,
+                        options_.sequential_write_discount,
                         options_.fault_hook);
-    ApproxArrayU32 tail(kCanaryWords, model, rng_.Split(), /*trace=*/nullptr,
+    ApproxArrayU32 tail(kCanaryWords, model, rng_.Split(),
                         base + span - kTailOffset,
                         options_.sequential_write_discount,
                         options_.fault_hook);

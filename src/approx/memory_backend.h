@@ -15,9 +15,9 @@
 // Built-in backends:
 //   mlc-pcm         Monte-Carlo-calibrated MLC PCM (the paper's Table 1/2
 //                   substrate); knob = target-range half-width T; unit ns.
-//   mlc-pcm-banked  Same write models, but costs flow through the trace-
-//                   driven mem::MemorySystem (cache hierarchy + banked PCM
-//                   with write queues), closing the flat-cost vs
+//   mlc-pcm-banked  Same write models, but every access is charged by
+//                   mem::MemorySystem (cache hierarchy + banked PCM with
+//                   write queues), closing the flat-cost vs
 //                   bank-simulator split; knob = T; unit ns.
 //   spintronic      Appendix A bit-flip model; knob = per-bit write-error
 //                   probability (energy saving follows the paper's
@@ -37,6 +37,10 @@
 #include "common/status.h"
 #include "mlc/calibration.h"
 #include "mlc/mlc_config.h"
+
+namespace approxmem::mem {
+class MemorySystem;
+}  // namespace approxmem::mem
 
 namespace approxmem::approx {
 
@@ -128,6 +132,11 @@ class MemoryBackend {
 
   /// Knob value reported for fully precise attempts (diagnostics only).
   virtual double precise_knob() const = 0;
+
+  /// The memory system charging this backend's accesses, shared by all of
+  /// its arrays; null when costs are flat (every backend but the banked
+  /// one).
+  virtual mem::MemorySystem* memory_system() { return nullptr; }
 };
 
 /// Factory invoked once per ApproxMemory instance.

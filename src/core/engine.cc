@@ -17,7 +17,6 @@ approx::ApproxMemory::Options ToMemoryOptions(const EngineOptions& options) {
   memory_options.shared_calibration = options.shared_calibration;
   memory_options.sequential_write_discount =
       options.sequential_write_discount;
-  memory_options.trace = options.trace;
   memory_options.fault_hook = options.fault_hook;
   memory_options.health = options.health;
   memory_options.placement = options.placement;

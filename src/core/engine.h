@@ -50,10 +50,6 @@ struct EngineOptions {
   /// See approx::ApproxMemory::Options::sequential_write_discount; 1.0
   /// reproduces the paper's uniform write-latency model.
   double sequential_write_discount = 1.0;
-  /// Optional trace sink recording every array access for replay through
-  /// mem::MemorySystem (used by the differential oracle's conservation
-  /// check). Not owned.
-  mem::TraceBuffer* trace = nullptr;
   /// Optional fault-injection hook (see approx/fault_hook.h). Not owned.
   approx::MemoryFaultHook* fault_hook = nullptr;
   /// Online substrate health monitoring: allocation-time canary probes and

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "approx/memory_backend.h"
+#include "common/check.h"
 #include "core/engine.h"
 #include "mem/memory_system.h"
 #include "testing/golden.h"
@@ -25,6 +27,56 @@ void DigestVec(uint64_t& digest, const std::vector<uint32_t>& values) {
   if (!values.empty()) {
     digest = Fnv1a64(values.data(), values.size() * sizeof(uint32_t), digest);
   }
+}
+
+// Reruns the flat run's engine options on the banked backend with an
+// empty-plan injector as a pass-through access counter, and checks that
+// every array access reached the memory system and that the banked costs
+// did not change a single output word.
+void CheckMemoryConservation(const core::EngineOptions& flat_options,
+                             const std::vector<uint32_t>& input,
+                             const sort::AlgorithmId& algorithm, double t,
+                             const std::vector<uint32_t>& flat_keys,
+                             const std::vector<uint32_t>& flat_ids,
+                             OracleReport& report) {
+  FaultInjector counter{FaultPlan{}};
+  core::EngineOptions options = flat_options;
+  options.backend = std::string(approx::kBankedPcmBackendName);
+  options.fault_hook = &counter;
+  core::ApproxSortEngine engine(options);
+  std::vector<uint32_t> keys;
+  std::vector<uint32_t> ids;
+  const auto outcome =
+      engine.SortApproxRefine(input, algorithm, t, &keys, &ids);
+  if (!outcome.ok()) {
+    Fail(report, "memory-conservation", outcome.status().ToString());
+    return;
+  }
+  mem::MemorySystem* system = engine.memory().backend().memory_system();
+  APPROXMEM_CHECK(system != nullptr);
+  const mem::MemorySystemStats stats = system->Finish();
+  const mem::PcmStats& pcm = system->pcm().Stats();
+  const uint64_t hits =
+      stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits;
+  std::ostringstream detail;
+  if (stats.reads != counter.reads_seen() ||
+      stats.writes != counter.writes_seen()) {
+    detail << "memory system saw " << stats.reads << "r/" << stats.writes
+           << "w of " << counter.reads_seen() << "r/"
+           << counter.writes_seen() << "w issued";
+  } else if (hits + stats.memory_reads != stats.reads) {
+    detail << "cache hits + PCM reads = " << hits + stats.memory_reads
+           << " != reads in = " << stats.reads;
+  } else if (pcm.reads != stats.memory_reads || pcm.writes != stats.writes) {
+    detail << "PCM saw " << pcm.reads << "r/" << pcm.writes << "w, expected "
+           << stats.memory_reads << "r/" << stats.writes << "w";
+  } else if (keys != flat_keys || ids != flat_ids) {
+    detail << "banked outputs differ from the " << flat_options.backend
+           << " run";
+  } else {
+    return;
+  }
+  Fail(report, "memory-conservation", detail.str());
 }
 
 }  // namespace
@@ -68,14 +120,12 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
   const std::vector<uint32_t> input =
       MakeInput(oracle_case.shape, oracle_case.n, oracle_case.seed);
 
-  mem::TraceBuffer trace;
   core::EngineOptions engine_options;
   engine_options.calibration_trials = options.calibration_trials;
   engine_options.mode = options.mode;
   engine_options.seed = oracle_case.seed;
   engine_options.shared_calibration = options.shared_calibration;
   engine_options.sort_threads = oracle_case.sort_threads;
-  if (options.check_trace_conservation) engine_options.trace = &trace;
   if (options.injector != nullptr) {
     engine_options.fault_hook = options.injector;
   }
@@ -171,31 +221,9 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
     DigestVec(report.digest, approx_output);
   }
 
-  if (options.check_trace_conservation) {
-    mem::MemorySystem system = mem::MemorySystem::PaperDefault();
-    const mem::MemorySystemStats stats = system.Replay(trace);
-    const mem::PcmStats& pcm = system.pcm().Stats();
-    std::ostringstream detail;
-    if (stats.reads != trace.read_count() ||
-        stats.writes != trace.write_count()) {
-      detail << "replayed " << stats.reads << "r/" << stats.writes
-             << "w of " << trace.read_count() << "r/" << trace.write_count()
-             << "w traced";
-      Fail(report, "trace-conservation", detail.str());
-    } else if (stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits +
-                   stats.memory_reads !=
-               stats.reads) {
-      detail << "cache hits + PCM reads = "
-             << stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits +
-                    stats.memory_reads
-             << " != reads in = " << stats.reads;
-      Fail(report, "trace-conservation", detail.str());
-    } else if (pcm.reads != stats.memory_reads || pcm.writes != stats.writes) {
-      detail << "PCM saw " << pcm.reads << "r/" << pcm.writes
-             << "w, expected " << stats.memory_reads << "r/" << stats.writes
-             << "w";
-      Fail(report, "trace-conservation", detail.str());
-    }
+  if (options.check_memory_conservation && options.injector == nullptr) {
+    CheckMemoryConservation(engine_options, input, oracle_case.algorithm, t,
+                            final_keys, final_ids, report);
   }
 
   DigestVec(report.digest, final_keys);

@@ -15,10 +15,13 @@
 //                            injector attached, the approx-only sort
 //                            output already equals the golden keys with
 //                            zero corrupted writes;
-//   trace-conservation       replaying the access trace through
-//                            mem::MemorySystem conserves accesses across
-//                            the cache hierarchy and PCM (hits + misses ==
-//                            reads in; PCM writes == writes in).
+//   memory-conservation      with no injector attached, rerunning the case
+//                            on mlc-pcm-banked under a pass-through
+//                            injector sends every access through the
+//                            memory system (reads/writes == the injector's
+//                            counts; cache hits + PCM reads == reads; PCM
+//                            reads == misses, PCM writes == writes) and
+//                            ends in the same keys and IDs as the flat run.
 //
 // Faults injected into the *approximate* domain must never produce a
 // failure (that is the refine guarantee under test); faults injected into
@@ -65,9 +68,9 @@ struct OracleOptions {
   std::shared_ptr<mlc::CalibrationCache> shared_calibration;
   /// Optional fault injector attached to the engine. Not owned.
   FaultInjector* injector = nullptr;
-  /// Replay the full access trace through mem::MemorySystem and check
-  /// conservation. Costs memory proportional to the access count.
-  bool check_trace_conservation = false;
+  /// Rerun the case on the banked backend and check memory conservation
+  /// (skipped when an injector is attached). Doubles the case's run time.
+  bool check_memory_conservation = false;
 };
 
 /// One violated invariant.

@@ -11,6 +11,7 @@
 #include "approx/approx_memory.h"
 #include "approx/memory_backend.h"
 #include "common/random.h"
+#include "mem/memory_system.h"
 #include "testing/fault_injection.h"
 
 namespace approxmem::approx {
@@ -133,23 +134,91 @@ TEST(ApproxArrayTest, MoveDoesNotDoubleFlush) {
   EXPECT_EQ(sink.word_writes, 2u);
 }
 
+// Pass-through hook recording the address and kind of every access.
+class RecordingHook final : public MemoryFaultHook {
+ public:
+  struct Access {
+    uint64_t address;
+    bool write;
+  };
+
+  uint32_t OnWrite(uint64_t address, bool /*precise_domain*/,
+                   uint32_t /*intended*/, uint32_t stored) override {
+    accesses.push_back({address, true});
+    return stored;
+  }
+  uint32_t OnRead(uint64_t address, bool /*precise_domain*/,
+                  uint32_t value) override {
+    accesses.push_back({address, false});
+    return value;
+  }
+
+  std::vector<Access> accesses;
+};
+
 TEST(ApproxArrayTest, TraceRecordsAddresses) {
-  mem::TraceBuffer trace;
+  RecordingHook hook;
   ApproxMemory::Options options = DefaultOptions();
-  options.trace = &trace;
+  options.fault_hook = &hook;
   ApproxMemory memory(options);
   ApproxArrayU32 a = memory.NewPreciseArray(4);
   ApproxArrayU32 b = memory.NewPreciseArray(4);
   a.Set(0, 1);
   b.Set(0, 1);
   a.Get(1);
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[0].kind, mem::AccessKind::kWrite);
-  EXPECT_EQ(trace[0].address, a.base_address());
-  EXPECT_EQ(trace[1].address, b.base_address());
+  ASSERT_EQ(hook.accesses.size(), 3u);
+  EXPECT_TRUE(hook.accesses[0].write);
+  EXPECT_EQ(hook.accesses[0].address, a.base_address());
+  EXPECT_EQ(hook.accesses[1].address, b.base_address());
   EXPECT_NE(a.base_address(), b.base_address());
-  EXPECT_EQ(trace[2].kind, mem::AccessKind::kRead);
-  EXPECT_EQ(trace[2].address, a.base_address() + 4);
+  EXPECT_FALSE(hook.accesses[2].write);
+  EXPECT_EQ(hook.accesses[2].address, a.base_address() + 4);
+}
+
+TEST(ApproxArrayTest, BankedBackendSeesEveryAccess) {
+  // Every access path, scalar and batched, must reach the banked memory
+  // system exactly once per word.
+  ApproxMemory::Options options = DefaultOptions();
+  options.backend = std::string(kBankedPcmBackendName);
+  ApproxMemory memory(options);
+  constexpr size_t kN = 600;
+  std::vector<uint32_t> values(kN);
+  Rng rng(3);
+  for (uint32_t& v : values) v = rng.NextU32();
+
+  ApproxArrayU32 approx = memory.NewApproxArray(kN, 0.055);
+  ApproxArrayU32 precise = memory.NewPreciseArray(kN);
+  approx.Set(0, values[0]);
+  size_t start = 1;
+  for (const size_t span : {1, 63, 64, 65}) {
+    approx.SetRange(start, values.data() + start, span);
+    start += span;
+  }
+  approx.SetRange(start, values.data() + start, kN - start);
+  std::vector<uint32_t> out(kN);
+  approx.Get(kN - 1);
+  approx.GetRange(0, out.data(), kN);
+  precise.CopyFrom(approx);
+
+  std::vector<ApproxArrayU32::Shard> shards = precise.MakeShards(2);
+  shards[0].SetRange(0, values.data(), kN / 2);
+  shards[1].SetRange(kN / 2, values.data() + kN / 2, kN / 2);
+  shards[0].Set(1, values[1]);
+  shards[0].GetRange(0, out.data(), kN / 2);
+  shards[1].Get(kN - 1);
+  precise.MergeShards(shards);
+
+  const MemoryStats total = approx.stats() + precise.stats();
+  ASSERT_GT(total.word_writes, 3 * kN);
+  ASSERT_GT(total.word_reads, 2 * kN);
+  mem::MemorySystem* system = memory.backend().memory_system();
+  ASSERT_NE(system, nullptr);
+  const mem::MemorySystemStats stats = system->Finish();
+  EXPECT_EQ(stats.reads, total.word_reads);
+  EXPECT_EQ(stats.writes, total.word_writes);
+
+  ApproxMemory flat(DefaultOptions());
+  EXPECT_EQ(flat.backend().memory_system(), nullptr);
 }
 
 TEST(ApproxArrayTest, BumpAllocatorDoublesStrideAcrossQuarantines) {

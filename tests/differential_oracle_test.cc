@@ -43,9 +43,9 @@ TEST(differential_oracle, CleanRunsPassForEveryKindAndT) {
   }
 }
 
-TEST(differential_oracle, TraceConservationHoldsOnCleanRun) {
+TEST(differential_oracle, MemoryConservationHoldsOnCleanRun) {
   OracleOptions options;
-  options.check_trace_conservation = true;
+  options.check_memory_conservation = true;
   const OracleReport report = RunDifferentialOracle(BaseCase(), options);
   EXPECT_TRUE(report.ok) << report.FailureSummary();
 }

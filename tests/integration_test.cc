@@ -1,7 +1,7 @@
 // End-to-end scenarios crossing every module: engine sweeps that reproduce
-// the paper's qualitative claims at reduced scale, trace-driven replay of a
-// real sort through the cache+PCM substrate, and exact-vs-fast agreement of
-// the whole pipeline.
+// the paper's qualitative claims at reduced scale, a real sort charged
+// access by access through the cache+PCM substrate, and exact-vs-fast
+// agreement of the whole pipeline.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -83,12 +83,11 @@ TEST(IntegrationTest, CostModelTracksMeasurementNearSweetSpot) {
 }
 
 TEST(IntegrationTest, TraceReplayThroughMemorySystem) {
-  // Run a real quicksort against traced arrays, then replay the trace
-  // through the cache hierarchy + banked PCM substrate.
-  mem::TraceBuffer trace;
+  // Run a real quicksort on the banked backend, which sends every array
+  // access through the cache hierarchy + banked PCM substrate.
   approx::ApproxMemory::Options options;
   options.calibration_trials = 20000;
-  options.trace = &trace;
+  options.backend = std::string(approx::kBankedPcmBackendName);
   approx::ApproxMemory memory(options);
 
   const size_t n = 20000;
@@ -101,14 +100,16 @@ TEST(IntegrationTest, TraceReplayThroughMemorySystem) {
   ASSERT_TRUE(
       sort::RunSort(spec, {sort::SortKind::kQuicksort, 0}, rng).ok());
 
-  ASSERT_GT(trace.size(), 2 * n);
-  mem::MemorySystem system = mem::MemorySystem::PaperDefault();
-  const mem::MemorySystemStats stats = system.Replay(trace);
-  EXPECT_EQ(stats.reads + stats.writes, trace.size());
-  EXPECT_EQ(stats.writes, trace.write_count());
+  const approx::MemoryStats& ledger = array.stats();
+  ASSERT_GT(ledger.word_reads + ledger.word_writes, 2 * n);
+  mem::MemorySystem* system = memory.backend().memory_system();
+  ASSERT_NE(system, nullptr);
+  const mem::MemorySystemStats stats = system->Finish();
+  EXPECT_EQ(stats.reads, ledger.word_reads);
+  EXPECT_EQ(stats.writes, ledger.word_writes);
   // Write-through: every write is serviced by PCM at 1us.
   EXPECT_DOUBLE_EQ(stats.total_write_latency_ns,
-                   static_cast<double>(trace.write_count()) * 1000.0);
+                   static_cast<double>(ledger.word_writes) * 1000.0);
   // The sort has locality: most reads hit cache.
   EXPECT_GT(stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits,
             stats.memory_reads);
